@@ -27,8 +27,16 @@ shape_hotness region_profile::hotness( uint64_t key ) const
 
 bool region_profile::is_hot( uint64_t key, double threshold_ms ) const
 {
+  /* only repeats count: the saving a shape has demonstrated is
+   * (sightings - 1) x its mean cost, so the first sighting alone never
+   * clears a positive threshold */
   const auto snapshot = hotness( key );
-  return snapshot.sightings > 0u && snapshot.total_cost_ms >= threshold_ms;
+  if ( snapshot.sightings == 0u )
+  {
+    return false;
+  }
+  const double mean_ms = snapshot.total_cost_ms / static_cast<double>( snapshot.sightings );
+  return static_cast<double>( snapshot.sightings - 1u ) * mean_ms >= threshold_ms;
 }
 
 void region_profile::observe_pass( const std::string& name, double elapsed_ms )

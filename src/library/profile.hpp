@@ -2,12 +2,14 @@
  *  \brief TraceAtlas-style hotness profile of the subcircuit library.
  *
  *  Admission into the library is profile-gated: a shape is only worth
- *  storing when its expected amortized saving -- sightings times the
- *  cost of optimizing it once -- clears a threshold.  The profile
- *  tracks exactly that product per fingerprint (sharded, mutex per
- *  shard), plus an aggregate per-pass cost table fed by the pass
- *  manager so the serving layer can report where compile time goes
- *  and which passes the library is amortizing.
+ *  storing when the saving its repeats have demonstrated -- repeat
+ *  sightings times the mean cost of optimizing it once -- clears a
+ *  threshold.  A shape seen once has saved nothing, so one-shot
+ *  compiles never pay for copying their outputs into the library.  The
+ *  profile tracks sightings and cumulative cost per fingerprint
+ *  (sharded, mutex per shard), plus an aggregate per-pass cost table
+ *  fed by the pass manager so the serving layer can report where
+ *  compile time goes and which passes the library is amortizing.
  */
 #pragma once
 
@@ -51,7 +53,8 @@ public:
   /*! \brief Hotness snapshot of shape `key` (zeros when unseen). */
   shape_hotness hotness( uint64_t key ) const;
 
-  /*! \brief True when `sightings x cost` has cleared `threshold_ms`. */
+  /*! \brief True when `(sightings - 1) x mean cost` has cleared
+   *         `threshold_ms`; a zero threshold admits the first sighting. */
   bool is_hot( uint64_t key, double threshold_ms ) const;
 
   /*! \brief Records one executed pass (pass-manager hook). */

@@ -97,10 +97,12 @@ struct library_options
 {
   size_t shards = 8u;
   size_t capacity = 4096u; /*!< in-memory entries; 0 disables storage */
-  /*! Admission threshold: cumulative sightings x synthesis cost must
-   *  reach this many milliseconds before a shape is stored.  Whole
-   *  pass inputs clear it on first sighting; trivial regions have to
-   *  earn their slot. */
+  /*! Admission threshold: the saving a shape's repeats have shown,
+   *  (sightings - 1) x mean synthesis cost, must reach this many
+   *  milliseconds before it is stored.  At the default a whole pass
+   *  input is admitted on its second sighting and spliced from its
+   *  third; trivial regions have to repeat more often.  0 admits every
+   *  shape on its first sighting. */
   double admit_cost_ms = 0.05;
   std::string path; /*!< append-only store; empty = memory only */
 };

@@ -373,10 +373,15 @@ circuit_statistics compute_statistics( const qcircuit& circuit )
       ++stats.clifford_count;
     }
 
-    const auto qubits = gate.qubits();
-    uint64_t level = 0u;
-    uint64_t t_level = 0u;
-    for ( const auto qubit : qubits )
+    /* operands are read straight off the view (controls, target,
+     * swap's target2): this runs after every quantum pass, so it must
+     * not allocate per gate */
+    const bool has_target2 = gate.kind == gate_kind::swap;
+    uint64_t level = std::max( qubit_depth[gate.target],
+                               has_target2 ? qubit_depth[gate.target2] : 0u );
+    uint64_t t_level = std::max( qubit_t_depth[gate.target],
+                                 has_target2 ? qubit_t_depth[gate.target2] : 0u );
+    for ( const auto qubit : gate.controls )
     {
       level = std::max( level, qubit_depth[qubit] );
       t_level = std::max( t_level, qubit_t_depth[qubit] );
@@ -386,7 +391,14 @@ circuit_statistics compute_statistics( const qcircuit& circuit )
     {
       ++t_level;
     }
-    for ( const auto qubit : qubits )
+    qubit_depth[gate.target] = level;
+    qubit_t_depth[gate.target] = t_level;
+    if ( has_target2 )
+    {
+      qubit_depth[gate.target2] = level;
+      qubit_t_depth[gate.target2] = t_level;
+    }
+    for ( const auto qubit : gate.controls )
     {
       qubit_depth[qubit] = level;
       qubit_t_depth[qubit] = t_level;

@@ -73,7 +73,13 @@ struct server_options
   size_t cache_shards = 16u;
   size_t cache_capacity = 1024u; /*!< result entries; 0 disables */
   size_t prefix_shards = 8u;
-  size_t prefix_capacity = 256u; /*!< snapshot entries; 0 disables */
+  /*! Snapshot entries; 0 disables.  A job leaves one snapshot per
+   *  proper pipeline prefix (about five for an Eq. (5) spec), so the
+   *  default holds the working set of a few hundred programs served
+   *  under prefix-sharing tails.  This is where a repeated pass input
+   *  is reused first: the library admits a whole rptm/tpar input only
+   *  on its second sighting. */
+  size_t prefix_capacity = 2048u;
 
   bool enable_result_cache = true;
   bool enable_prefix_reuse = true;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -242,6 +243,28 @@ TEST_F( compile_server_telemetry_test, sibling_pipelines_resume_from_shared_pref
   EXPECT_GT( stats.prefix_cache.entries, 0u );
   /* 6 cold passes + 2 executed on the resumed run */
   EXPECT_EQ( stats.passes_executed, 8u );
+}
+
+TEST( compile_server_test, default_prefix_cache_holds_a_serving_working_set )
+{
+  /* 300 programs leave four snapshots each (revgen .. rptm); a sibling
+   * tail over every one of them must resume after rptm */
+  compile_server server( { .num_workers = 1u } );
+  constexpr uint32_t programs = 300u;
+  const auto program = []( uint32_t seed ) {
+    return "revgen --random 4 --seed " + std::to_string( seed ) + "; tbs; revsimp; rptm";
+  };
+  for ( uint32_t seed = 1u; seed <= programs; ++seed )
+  {
+    server.submit( program( seed ) + "; ps" ).get();
+  }
+  for ( uint32_t seed = 1u; seed <= programs; ++seed )
+  {
+    server.submit( program( seed ) + "; tpar; ps" ).get();
+  }
+  const auto stats = server.statistics();
+  EXPECT_EQ( stats.prefix_hits, programs );
+  EXPECT_EQ( stats.prefix_passes_skipped, 4u * programs );
 }
 
 TEST( compile_server_test, prefix_reuse_can_be_disabled )

@@ -118,6 +118,29 @@ qcircuit random_clifford_t_circuit( std::mt19937_64& rng, uint32_t num_qubits,
   return circuit;
 }
 
+/*! One large H-free phase-polynomial region: its tpar costs well over
+ *  the default 0.05 ms admission threshold, and it holds no smaller
+ *  region that could repeat inside a single pass. */
+qcircuit single_region_circuit()
+{
+  std::mt19937_64 rng( 4242u );
+  constexpr uint32_t num_qubits = 8u;
+  qcircuit circuit( num_qubits );
+  for ( uint32_t g = 0u; g < 4000u; ++g )
+  {
+    const uint32_t q = rng() % num_qubits;
+    switch ( rng() % 5u )
+    {
+    case 0u: circuit.t( q ); break;
+    case 1u: circuit.tdg( q ); break;
+    case 2u: circuit.s( q ); break;
+    case 3u: circuit.x( q ); break;
+    default: circuit.cx( q, ( q + 1u + rng() % ( num_qubits - 1u ) ) % num_qubits ); break;
+    }
+  }
+  return circuit;
+}
+
 /* ---------------------------------------------------------------- */
 /* canonical fingerprints                                           */
 /* ---------------------------------------------------------------- */
@@ -356,6 +379,34 @@ TEST( library_splice_test, admission_threshold_rejects_cold_shapes )
   EXPECT_GT( stats.rejected_cold, 0u );
 }
 
+TEST( library_admission_test, default_threshold_admits_on_second_sighting )
+{
+  library::subcircuit_library lib; /* default library_options */
+  const auto circuit = single_region_circuit();
+  const auto reference = phasepoly::tpar( circuit ); /* no library */
+
+  /* a shape seen once has saved nothing: no admission, however costly */
+  const auto first = phasepoly::tpar( circuit, with_library( lib ) );
+  const auto after_first = lib.statistics();
+  EXPECT_EQ( after_first.admits, 0u );
+  EXPECT_EQ( after_first.entries, 0u );
+  EXPECT_GT( after_first.rejected_cold, 0u );
+  EXPECT_EQ( after_first.hits, 0u );
+
+  /* the repeat demonstrates the saving: the whole input is admitted */
+  const auto second = phasepoly::tpar( circuit, with_library( lib ) );
+  const auto after_second = lib.statistics();
+  EXPECT_GT( after_second.admits, 0u );
+  EXPECT_EQ( after_second.hits, 0u );
+
+  /* ... and spliced from the third sighting, byte-exactly */
+  const auto third = phasepoly::tpar( circuit, with_library( lib ) );
+  EXPECT_GT( lib.statistics().hits, 0u );
+  EXPECT_EQ( first, reference );
+  EXPECT_EQ( second, reference );
+  EXPECT_EQ( third, reference );
+}
+
 TEST( library_splice_test, zero_capacity_disables_storage )
 {
   library::library_options options;
@@ -487,6 +538,31 @@ TEST( library_persistence_test, warm_restart_reloads_admitted_entries )
   const auto warm = phasepoly::tpar( circuit, with_library( reader ) );
   EXPECT_GT( reader.statistics().hits, 0u );
   EXPECT_EQ( warm, cold );
+}
+
+TEST( library_persistence_test, second_sighting_store_hits_first_sighting_after_restart )
+{
+  scoped_store_file store{ "qda_test_library_second_sighting.bin" };
+  const auto circuit = single_region_circuit();
+
+  library::library_options options; /* default threshold */
+  options.path = store.path;
+  uint64_t admitted = 0u;
+  {
+    library::subcircuit_library writer{ options };
+    phasepoly::tpar( circuit, with_library( writer ) );
+    EXPECT_EQ( writer.statistics().admits, 0u );
+    phasepoly::tpar( circuit, with_library( writer ) );
+    admitted = writer.statistics().admits;
+    ASSERT_GT( admitted, 0u );
+  }
+
+  /* reloaded entries need no sightings of their own */
+  library::subcircuit_library reader{ options };
+  EXPECT_EQ( reader.statistics().loaded_entries, admitted );
+  const auto warm = phasepoly::tpar( circuit, with_library( reader ) );
+  EXPECT_GT( reader.statistics().hits, 0u );
+  EXPECT_EQ( warm, phasepoly::tpar( circuit ) );
 }
 
 TEST( library_persistence_test, corrupt_header_cold_starts_with_counter )

@@ -135,6 +135,35 @@ TEST( qcircuit_test, statistics_counts )
   EXPECT_GT( stats.depth, 0u );
 }
 
+TEST( qcircuit_test, statistics_walk_every_operand_kind )
+{
+  /* pins depth/T-depth bookkeeping across swap's second target, a
+   * 3-control mcx and the skipped pseudo-gates */
+  qcircuit circuit( 5u );
+  circuit.t( 0u );                   /* q0: depth 1, T 1 */
+  circuit.swap_( 0u, 1u );           /* q0,q1: depth 2, T 1 */
+  circuit.t( 1u );                   /* q1: depth 3, T 2 */
+  circuit.mcx( { 1u, 2u, 3u }, 4u ); /* q1..q4: depth 4, T 2 */
+  circuit.barrier();                 /* not counted */
+  circuit.global_phase( 0.5 );       /* not counted */
+  circuit.h( 4u );                   /* q4: depth 5 */
+  circuit.t( 4u );                   /* q4: depth 6, T 3 */
+  circuit.cx( 0u, 2u );              /* q0,q2: depth 5, T 2 */
+  circuit.measure( 4u );             /* q4: depth 7, T 3 */
+
+  const auto stats = compute_statistics( circuit );
+  EXPECT_EQ( stats.num_qubits, 5u );
+  EXPECT_EQ( stats.num_gates, 8u );
+  EXPECT_EQ( stats.depth, 7u );
+  EXPECT_EQ( stats.t_count, 3u );
+  EXPECT_EQ( stats.t_depth, 3u );
+  EXPECT_EQ( stats.h_count, 1u );
+  EXPECT_EQ( stats.cnot_count, 1u );
+  EXPECT_EQ( stats.two_qubit_count, 2u ); /* swap + cx */
+  EXPECT_EQ( stats.clifford_count, 3u );  /* swap, h, cx */
+  EXPECT_EQ( stats.num_measurements, 1u );
+}
+
 TEST( qcircuit_test, t_depth_parallel_ts_count_once )
 {
   qcircuit circuit( 2u );
