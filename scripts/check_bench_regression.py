@@ -7,6 +7,9 @@ Only machine-comparable *ratio* metrics are compared against the
 baseline (speedups and the swap-reduction percentage) -- absolute
 wall-clock numbers shift with the host.  A small set of absolute floors
 (ABSOLUTE_FLOORS) is additionally enforced on the current run only.
+Circuit sizes are deterministic, so BENCH_tpar.json is compared
+exactly: any T, CNOT or gate count above the baseline's fails, with no
+tolerance.
 
 Usage:
     scripts/check_bench_regression.py \
@@ -120,6 +123,28 @@ def collect_metrics(directory):
     return metrics
 
 
+def tpar_count_checks(baseline_dir, current_dir):
+    """Yields (name, baseline, current) for every T/CNOT/gate count of
+    every BENCH_tpar.json case and variant present in both runs."""
+    baseline = load(os.path.join(baseline_dir, "BENCH_tpar.json"))
+    current = load(os.path.join(current_dir, "BENCH_tpar.json"))
+    if baseline is None or current is None:
+        return
+    current_cases = {case["name"]: case for case in current.get("cases", [])}
+    for case in baseline.get("cases", []):
+        fresh = current_cases.get(case["name"])
+        if fresh is None:
+            print(f"skip  tpar.{case['name']}: not in current run")
+            continue
+        for variant, counts in case.items():
+            if not isinstance(counts, dict) or not isinstance(fresh.get(variant), dict):
+                continue
+            for count in ("t", "cnot", "gates"):
+                if count in counts and count in fresh[variant]:
+                    yield (f"tpar.{case['name']}.{variant}.{count}",
+                           counts[count], fresh[variant][count])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir", default=".",
@@ -174,14 +199,24 @@ def main():
             failures.append(name)
         print(f"{status}{name}: current {cur_value:.2f} (absolute floor {floor:.2f})")
 
+    for name, base_value, cur_value in tpar_count_checks(args.baseline_dir,
+                                                         args.current_dir):
+        checked += 1
+        status = "ok   "
+        if cur_value > base_value:
+            status = "FAIL "
+            failures.append(name)
+        print(f"{status}{name}: baseline {base_value} -> current {cur_value} (must not rise)")
+
     if checked == 0:
         print("error: baseline and current runs share no metrics")
         return 2
     if failures:
-        print(f"\n{len(failures)} metric(s) regressed by more than "
-              f"{args.tolerance:.0%}: {', '.join(failures)}")
+        print(f"\n{len(failures)} metric(s) regressed (ratios by more than "
+              f"{args.tolerance:.0%}, tpar counts at all): {', '.join(failures)}")
         return 1
-    print(f"\nall {checked} enforced metric(s) within {args.tolerance:.0%} of baseline")
+    print(f"\nall {checked} enforced metric(s) hold (ratios within {args.tolerance:.0%}, "
+          f"tpar counts not above baseline)")
     return 0
 
 

@@ -63,6 +63,87 @@ void append_angle( std::string& bytes, double angle )
   append_u64( bytes, value );
 }
 
+/*! Spells every alive gate of `circuit` with first-touch local wire
+ *  ids of type `Id`, straight from the IR columns: kind, then (except
+ *  for barrier and global_phase) control count, controls, target,
+ *  swap's second target, and the exact angle bits of rotations and
+ *  global phases.  Fills `probe.wires` and `probe.before`. */
+template<typename Id>
+void spell_circuit( const qcircuit& circuit, phasepoly::splice_probe& probe )
+{
+  constexpr uint32_t unseen = 0xffffffffu;
+  const auto& core = circuit.core();
+  const auto& cols = core.columns();
+  std::vector<uint32_t> local_of( circuit.num_qubits(), unseen );
+  std::string& bytes = probe.bytes;
+  size_t at = bytes.size();
+  bytes.resize( at + core.num_slots() * ( 1u + 3u * sizeof( Id ) ) );
+
+  const auto put_wire = [&]( char* out, uint32_t qubit ) {
+    uint32_t& local = local_of[qubit];
+    if ( local == unseen )
+    {
+      local = static_cast<uint32_t>( probe.wires.size() );
+      probe.wires.push_back( qubit );
+    }
+    const auto id = static_cast<Id>( local );
+    std::memcpy( out, &id, sizeof( id ) );
+    return out + sizeof( id );
+  };
+  const auto put_angle = [&]( char* out, uint32_t slot ) {
+    const double angle = cols.angle_of( slot );
+    std::memcpy( out, &angle, sizeof( angle ) );
+    return out + sizeof( angle );
+  };
+
+  probe.before = { 0u, 0u, 0u };
+  for ( uint32_t slot = 0u; slot < core.num_slots(); ++slot )
+  {
+    if ( !core.slot_alive( slot ) )
+    {
+      continue;
+    }
+    const auto kind = cols.kind[slot];
+    const auto controls = cols.controls_of( slot );
+    ++probe.before[0];
+    probe.before[1] += kind == gate_kind::t || kind == gate_kind::tdg ? 1u : 0u;
+    probe.before[2] += kind == gate_kind::cx ? 1u : 0u;
+
+    const size_t most = 1u + sizeof( Id ) * ( 3u + controls.size() ) + sizeof( double );
+    if ( at + most > bytes.size() )
+    {
+      bytes.resize( 2u * bytes.size() + most );
+    }
+    char* out = bytes.data() + at;
+    *out++ = static_cast<char>( kind );
+    if ( kind == gate_kind::global_phase )
+    {
+      out = put_angle( out, slot );
+    }
+    else if ( kind != gate_kind::barrier )
+    {
+      const auto count = static_cast<Id>( controls.size() );
+      std::memcpy( out, &count, sizeof( count ) );
+      out += sizeof( count );
+      for ( const uint32_t control : controls )
+      {
+        out = put_wire( out, control );
+      }
+      out = put_wire( out, cols.target[slot] );
+      if ( kind == gate_kind::swap )
+      {
+        out = put_wire( out, cols.target2[slot] );
+      }
+      if ( kind == gate_kind::rx || kind == gate_kind::ry || kind == gate_kind::rz )
+      {
+        out = put_angle( out, slot );
+      }
+    }
+    at = static_cast<size_t>( out - bytes.data() );
+  }
+  bytes.resize( at );
+}
+
 void finish_probe( phasepoly::splice_probe& probe )
 {
   probe.key = fingerprint_bytes( probe.bytes );
@@ -278,8 +359,31 @@ std::string serialize_poly( const phasepoly::phase_polynomial& poly, std::string
 
 std::array<uint64_t, 2> fingerprint_bytes( std::string_view bytes ) noexcept
 {
-  return { fnv_accumulate( fnv_offset, bytes.data(), bytes.size() ),
-           fnv_accumulate( fnv_check_seed, bytes.data(), bytes.size() ) };
+  /* 8 bytes per step; each step is a bijection of the state (xor,
+   * odd multiply, xor-shift), so two spellings of one length that
+   * differ in a single word never collide, and the shift folds the
+   * high word bits into the low bits the key buckets on */
+  uint64_t primary = fnv_offset;
+  uint64_t check = fnv_check_seed;
+  const auto step = []( uint64_t state, uint64_t word ) {
+    state = ( state ^ word ) * fnv_prime;
+    return state ^ ( state >> 32u );
+  };
+  size_t at = 0u;
+  for ( ; at + sizeof( uint64_t ) <= bytes.size(); at += sizeof( uint64_t ) )
+  {
+    uint64_t word;
+    std::memcpy( &word, bytes.data() + at, sizeof( word ) );
+    primary = step( primary, word );
+    check = step( check, word );
+  }
+  uint64_t tail = 0u;
+  if ( at < bytes.size() )
+  {
+    std::memcpy( &tail, bytes.data() + at, bytes.size() - at );
+  }
+  const uint64_t length = bytes.size();
+  return { mix( step( primary, tail ) ^ length ), mix( step( check, tail ) ^ length ) };
 }
 
 int64_t quantize_angle( double angle ) noexcept
@@ -375,83 +479,26 @@ void fingerprint_phase_polynomial( const phasepoly::phase_polynomial& poly,
   finish_probe( probe );
 }
 
-void append_gate_bytes( std::string& bytes, const qgate_view& gate )
-{
-  append_u8( bytes, static_cast<uint8_t>( gate.kind ) );
-  switch ( gate.kind )
-  {
-  case gate_kind::global_phase:
-    append_angle( bytes, gate.angle );
-    return;
-  case gate_kind::barrier:
-    return;
-  default:
-    break;
-  }
-  append_u8( bytes, static_cast<uint8_t>( gate.controls.size() ) );
-  for ( const uint32_t control : gate.controls )
-  {
-    append_u32( bytes, control );
-  }
-  append_u32( bytes, gate.target );
-  if ( gate.kind == gate_kind::swap )
-  {
-    append_u32( bytes, gate.target2 );
-  }
-  if ( gate.kind == gate_kind::rx || gate.kind == gate_kind::ry ||
-       gate.kind == gate_kind::rz )
-  {
-    append_angle( bytes, gate.angle );
-  }
-}
-
 void fingerprint_circuit( const qcircuit& circuit, std::string_view tag,
                           phasepoly::splice_probe& probe )
 {
   probe.bytes.clear();
-  probe.bytes.append( "qc1|" );
+  probe.bytes.append( "qc2|" );
   probe.bytes.append( tag );
   probe.bytes.push_back( '|' );
   probe.wires.clear();
   probe.perm.clear();
-
-  std::vector<uint32_t> local_of( circuit.num_qubits(), 0u );
-  std::vector<uint8_t> seen( circuit.num_qubits(), 0u );
-  const auto local = [&]( uint32_t qubit ) {
-    if ( seen[qubit] == 0u )
-    {
-      seen[qubit] = 1u;
-      local_of[qubit] = static_cast<uint32_t>( probe.wires.size() );
-      probe.wires.push_back( qubit );
-    }
-    return local_of[qubit];
-  };
-
-  probe.before = { 0u, 0u, 0u };
-  qgate relabeled;
-  for ( const auto& gate : circuit.gates() )
+  /* every local label (and control count) is below num_qubits, so the
+   * spelling's id width is fixed per circuit and named in the header */
+  if ( circuit.num_qubits() <= 0x10000u )
   {
-    ++probe.before[0];
-    probe.before[1] += gate.is_t_gate() ? 1u : 0u;
-    probe.before[2] += gate.kind == gate_kind::cx ? 1u : 0u;
-    relabeled.kind = gate.kind;
-    relabeled.angle = gate.angle;
-    relabeled.target = 0u;
-    relabeled.target2 = 0u;
-    relabeled.controls.clear();
-    if ( gate.kind != gate_kind::global_phase && gate.kind != gate_kind::barrier )
-    {
-      for ( const uint32_t control : gate.controls )
-      {
-        relabeled.controls.push_back( local( control ) );
-      }
-      relabeled.target = local( gate.target );
-      if ( gate.kind == gate_kind::swap )
-      {
-        relabeled.target2 = local( gate.target2 );
-      }
-    }
-    append_gate_bytes( probe.bytes, relabeled );
+    append_u8( probe.bytes, 2u );
+    spell_circuit<uint16_t>( circuit, probe );
+  }
+  else
+  {
+    append_u8( probe.bytes, 4u );
+    spell_circuit<uint32_t>( circuit, probe );
   }
   finish_probe( probe );
 }

@@ -1,8 +1,9 @@
 /*! \file fingerprint.hpp
  *  \brief Canonical region fingerprints for the subcircuit library.
  *
- *  Three fingerprint levels, all hashed with the same dual-seed
- *  FNV-1a scheme as the pipeline's `structural_key`:
+ *  Three fingerprint levels, each a canonical byte spelling hashed by
+ *  `fingerprint_bytes` into a two-word key (its own word-at-a-time
+ *  scheme, not `structural_key`'s byte-wise FNV-1a):
  *
  *   - `fingerprint_phase_polynomial`: the semantic region fingerprint.
  *     A region's phase polynomial is already invariant under commuting
@@ -14,8 +15,10 @@
  *     back to input order (a missed hit, never a wrong one).
  *   - `fingerprint_circuit`: the fast syntactic fingerprint of a whole
  *     quantum circuit (the largest candidate region: the full tpar
- *     input).  One scan with first-touch wire relabeling; canonical
- *     under any qubit relabeling that preserves first-touch order.
+ *     input).  One scan over the IR columns with first-touch wire
+ *     relabeling; canonical under any qubit relabeling that preserves
+ *     first-touch order.  Local wire ids are 16-bit for circuits of up
+ *     to 65536 qubits and 32-bit beyond (the width is in the header).
  *   - `fingerprint_rev_circuit`: the same first-touch spelling for a
  *     reversible MCT circuit (the rptm input).
  *
@@ -40,8 +43,9 @@
 namespace qda::library
 {
 
-/*! \brief Dual-seed FNV-1a over `bytes`: the `structural_key` scheme
- *         ({offset-basis, golden-gamma} seeds, one shared prime).
+/*! \brief Two-seed 64-bit hash of `bytes`, 8 bytes per step: an
+ *         FNV-style xor-multiply with a xor-shift fold per word, the
+ *         length mixed in last.  Also the store's record checksum.
  */
 std::array<uint64_t, 2> fingerprint_bytes( std::string_view bytes ) noexcept;
 
@@ -67,8 +71,5 @@ void fingerprint_circuit( const qcircuit& circuit, std::string_view tag,
 /*! \brief First-touch-canonical fingerprint of a reversible circuit. */
 void fingerprint_rev_circuit( const rev_circuit& circuit, std::string_view tag,
                               phasepoly::splice_probe& probe );
-
-/*! \brief Serializes one gate (local labels) into a spelling. */
-void append_gate_bytes( std::string& bytes, const qgate_view& gate );
 
 } // namespace qda::library

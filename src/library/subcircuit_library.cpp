@@ -17,7 +17,7 @@ namespace
 {
 
 constexpr char file_magic[8] = { 'Q', 'D', 'A', 'L', 'I', 'B', '1', '\n' };
-constexpr uint32_t file_version = 1u;
+constexpr uint32_t file_version = 2u; /* 2: 16-bit circuit spellings, word-wise keys */
 constexpr uint32_t record_magic = 0x4c524543u;
 constexpr uint64_t max_payload_size = uint64_t{ 1 } << 30u;
 constexpr uint32_t invalid_wire = std::numeric_limits<uint32_t>::max();
@@ -356,11 +356,14 @@ bool subcircuit_library::splice_circuit( const qcircuit& in, std::string_view ta
   splice_span.attr( "level", "tpar-circuit" );
   splice_span.attr( "gates", static_cast<int64_t>( entry->gates.size() ) );
   out = qcircuit( in.num_qubits() );
+  out.core().reserve( entry->gates.size() );
   const auto wire_of = [&]( uint32_t local ) {
     return local < probe.wires.size() ? probe.wires[local] : invalid_wire;
   };
-  for ( auto gate : entry->gates )
+  qgate gate; /* reused: copy-assignment keeps its control buffer */
+  for ( const auto& stored : entry->gates )
   {
+    gate = stored;
     if ( !remap_gate( gate, wire_of ) )
     {
       unsplicable_.fetch_add( 1u, std::memory_order_relaxed );
@@ -504,6 +507,7 @@ bool subcircuit_library::splice_rev_mapping( const rev_circuit& in, std::string_
   const uint32_t num_lines = in.num_lines();
   const uint32_t touched = entry->num_wires - entry->aux;
   out = qcircuit( num_lines + entry->aux );
+  out.core().reserve( entry->gates.size() );
   const auto wire_of = [&]( uint32_t local ) {
     if ( local < touched )
     {
@@ -511,8 +515,10 @@ bool subcircuit_library::splice_rev_mapping( const rev_circuit& in, std::string_
     }
     return local < entry->num_wires ? num_lines + ( local - touched ) : invalid_wire;
   };
-  for ( auto gate : entry->gates )
+  qgate gate; /* reused: copy-assignment keeps its control buffer */
+  for ( const auto& stored : entry->gates )
   {
+    gate = stored;
     if ( !remap_gate( gate, wire_of ) )
     {
       unsplicable_.fetch_add( 1u, std::memory_order_relaxed );

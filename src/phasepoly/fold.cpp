@@ -5,6 +5,8 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -17,10 +19,95 @@ namespace
 
 constexpr double pi = std::numbers::pi;
 
+/*! \brief Parity label of one qubit: the sorted set of the variables
+ *         whose XOR the qubit carries.
+ *
+ *  Variables are introduced one per non-affine gate, so an hwb-8 input
+ *  numbers ~9K of them, yet almost every label holds at most three.
+ *  A `bitvec` spanning ids 40 and 9000 walks (and heap-allocates) the
+ *  whole word range between them; this set stores up to
+ *  `inline_capacity` ids in place and spills to the heap only beyond.
+ *  Invariant: `spill_` is empty while the ids are inline, so copying a
+ *  small label never allocates.
+ */
+class fold_label
+{
+public:
+  static constexpr uint32_t inline_capacity = 4u;
+
+  bool empty() const noexcept { return size_ == 0u; }
+
+  const uint32_t* begin() const noexcept
+  {
+    return size_ <= inline_capacity ? ids_.data() : spill_.data();
+  }
+  const uint32_t* end() const noexcept { return begin() + size_; }
+
+  void assign_variable( uint32_t variable ) noexcept
+  {
+    ids_[0] = variable;
+    size_ = 1u;
+    spill_.clear();
+  }
+
+  /*! GF(2) sum of two labels: the symmetric difference of their sets. */
+  fold_label& operator^=( const fold_label& other )
+  {
+    std::array<uint32_t, 2u * inline_capacity> small;
+    std::vector<uint32_t> large;
+    uint32_t* sum = small.data();
+    if ( size_ + other.size_ > small.size() )
+    {
+      large.resize( size_ + other.size_ );
+      sum = large.data();
+    }
+    const auto last =
+        std::set_symmetric_difference( begin(), end(), other.begin(), other.end(), sum );
+    assign( sum, static_cast<uint32_t>( last - sum ) );
+    return *this;
+  }
+
+  bool operator==( const fold_label& other ) const noexcept
+  {
+    return size_ == other.size_ && std::equal( begin(), end(), other.begin() );
+  }
+
+  size_t hash() const noexcept
+  {
+    uint64_t state = size_;
+    for ( const uint32_t id : *this )
+    {
+      state = ( state ^ id ) * 0x9e3779b97f4a7c15ull;
+    }
+    /* splitmix64 finalizer: the table masks the low bits */
+    state = ( state ^ ( state >> 30u ) ) * 0xbf58476d1ce4e5b9ull;
+    state = ( state ^ ( state >> 27u ) ) * 0x94d049bb133111ebull;
+    return static_cast<size_t>( state ^ ( state >> 31u ) );
+  }
+
+private:
+  void assign( const uint32_t* ids, uint32_t count )
+  {
+    size_ = count;
+    if ( count <= inline_capacity )
+    {
+      std::copy( ids, ids + count, ids_.begin() );
+      spill_.clear();
+    }
+    else
+    {
+      spill_.assign( ids, ids + count );
+    }
+  }
+
+  uint32_t size_ = 0u;
+  std::array<uint32_t, inline_capacity> ids_{};
+  std::vector<uint32_t> spill_;
+};
+
 struct fold_term
 {
-  double angle = 0.0;        /*!< accumulated parity-phase coefficient */
-  uint32_t anchor_slot = 0u; /*!< storage slot where the merged gate is emitted */
+  double angle = 0.0; /*!< accumulated parity-phase coefficient */
   bool anchor_constant = false;
 };
 
@@ -35,13 +122,12 @@ void fold_phases_in_place( qcircuit& circuit )
   core.compact(); /* pass 1 records slots; start from dense storage */
 
   /* affine label per qubit: parity of introduced variables + complement */
-  std::vector<bitvec> labels( num_qubits );
+  std::vector<fold_label> labels( num_qubits );
   std::vector<uint8_t> constants( num_qubits, 0u );
   uint32_t next_variable = 0u;
 
   const auto fresh_label = [&]( uint32_t qubit ) {
-    labels[qubit].clear();
-    labels[qubit].set( next_variable++ );
+    labels[qubit].assign_variable( next_variable++ );
     constants[qubit] = 0u;
   };
 
@@ -51,11 +137,17 @@ void fold_phases_in_place( qcircuit& circuit )
   }
 
   /* pass 1: collect phase terms keyed by parity label */
-  constexpr uint32_t no_anchor = 0xffffffffu;
-  parity_table table;
+  constexpr uint32_t not_phase = 0xffffffffu;
+  constexpr uint32_t folded = 0xfffffffeu;
+  /* Clifford+T inputs are about half phase gates, nearly all on fresh
+   * parities: sizing for that up front skips the whole rehash chain */
+  basic_parity_table<fold_label> table( core.num_slots() / 2u );
   std::vector<fold_term> terms;
-  std::vector<uint32_t> anchor_of( core.num_slots(), no_anchor ); /* slot -> term */
+  /* slot -> anchored term; `folded` for a phase gate merged into an
+   * earlier anchor or into the global phase */
+  std::vector<uint32_t> anchor_of( core.num_slots(), not_phase );
   double global_phase_total = 0.0;
+  uint64_t parities_folded = 0u;
 
   const auto& cols = core.columns();
   for ( uint32_t slot = 0u; slot < core.num_slots(); ++slot )
@@ -68,7 +160,8 @@ void fold_phases_in_place( qcircuit& circuit )
       {
         global_phase_total -= *angle / 2.0; /* Rz carries a global factor */
       }
-      if ( labels[target].none() )
+      anchor_of[slot] = folded;
+      if ( labels[target].empty() )
       {
         /* phase on a constant value: pure global phase */
         if ( constants[target] )
@@ -80,12 +173,12 @@ void fold_phases_in_place( qcircuit& circuit )
       const auto [index, inserted] = table.find_or_insert( labels[target] );
       if ( inserted )
       {
-        terms.push_back( { 0.0, slot, constants[target] != 0u } );
+        terms.push_back( { 0.0, constants[target] != 0u } );
         anchor_of[slot] = index;
       }
       else
       {
-        QDA_COUNT( "tpar.parities_folded" );
+        ++parities_folded;
       }
       if ( constants[target] != 0u )
       {
@@ -130,21 +223,23 @@ void fold_phases_in_place( qcircuit& circuit )
     }
   }
 
+  QDA_COUNT_N( "tpar.parities_folded", parities_folded );
+
   /* pass 2: rewrite in place, emitting merged phases at their anchors */
   auto rewriter = circuit.rewrite();
   std::vector<qgate> merged;
   for ( uint32_t slot = 0u; slot < core.num_slots(); ++slot )
   {
-    if ( !phase_angle_of( cols.kind[slot], cols.angle_of( slot ) ) )
+    if ( anchor_of[slot] == not_phase )
     {
       continue;
     }
-    const uint32_t target = cols.target[slot];
-    rewriter.erase_slot( slot );
-    if ( anchor_of[slot] == no_anchor )
+    if ( anchor_of[slot] == folded )
     {
-      continue; /* folded away */
+      rewriter.erase_slot( slot );
+      continue;
     }
+    const uint32_t target = cols.target[slot];
     const auto& term = terms[anchor_of[slot]];
     double alpha = term.angle;
     if ( term.anchor_constant )
@@ -157,6 +252,12 @@ void fold_phases_in_place( qcircuit& circuit )
      * rewritten circuit equals the original exactly */
     merged.clear();
     global_phase_total += emit_phase_gates( merged, target, alpha );
+    if ( merged.size() == 1u )
+    {
+      rewriter.replace_slot( slot, merged.front() ); /* the common case: no insert */
+      continue;
+    }
+    rewriter.erase_slot( slot );
     for ( const auto& gate : merged )
     {
       rewriter.insert_before_slot( slot, gate );

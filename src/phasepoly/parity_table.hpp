@@ -1,5 +1,5 @@
 /*! \file parity_table.hpp
- *  \brief Flat open-addressing hash table keyed by parity vectors.
+ *  \brief Flat open-addressing hash table keyed by parity labels.
  *
  *  The term-accumulation hot path of the phase-polynomial subsystem:
  *  every phase gate looks up its qubit's parity label and either merges
@@ -9,6 +9,10 @@
  *  (67% of hwb-8 compile time).  This table stores buckets flat
  *  (cached hash + dense term index), probes linearly, and keeps the
  *  keys in a dense side vector whose indices double as term ids.
+ *
+ *  The key type is a parameter: region extraction keys on `bitvec`
+ *  (`parity_table`), whole-circuit folding on its inline sorted
+ *  variable-id sets (fold.cpp).  A key needs `hash()` and `==`.
  */
 #pragma once
 
@@ -21,13 +25,14 @@
 namespace qda::phasepoly
 {
 
-/*! \brief Maps parity vectors to dense indices 0..size()-1. */
-class parity_table
+/*! \brief Maps parity labels to dense indices 0..size()-1. */
+template<typename Key>
+class basic_parity_table
 {
 public:
   static constexpr uint32_t npos = 0xffffffffu;
 
-  explicit parity_table( uint32_t expected_terms = 16u )
+  explicit basic_parity_table( uint32_t expected_terms = 16u )
   {
     size_t capacity = 16u;
     while ( capacity < 2u * static_cast<size_t>( expected_terms ) )
@@ -35,16 +40,17 @@ public:
       capacity *= 2u;
     }
     buckets_.assign( capacity, bucket{ 0u, npos } );
+    keys_.reserve( expected_terms );
   }
 
   uint32_t size() const noexcept { return static_cast<uint32_t>( keys_.size() ); }
 
-  const bitvec& key( uint32_t index ) const noexcept { return keys_[index]; }
+  const Key& key( uint32_t index ) const noexcept { return keys_[index]; }
 
   /*! \brief Index of `key`, or npos when absent. */
-  uint32_t find( const bitvec& key ) const noexcept
+  uint32_t find( const Key& key ) const noexcept
   {
-    const size_t hash = key.hash();
+    const auto hash = static_cast<uint32_t>( key.hash() );
     const size_t mask = buckets_.size() - 1u;
     for ( size_t probe = hash & mask;; probe = ( probe + 1u ) & mask )
     {
@@ -63,13 +69,13 @@ public:
   /*! \brief Index of `key`, inserting it when absent; second is true on
    *         insertion (the new index is size()-1).
    */
-  std::pair<uint32_t, bool> find_or_insert( const bitvec& key )
+  std::pair<uint32_t, bool> find_or_insert( const Key& key )
   {
     if ( 2u * ( keys_.size() + 1u ) > buckets_.size() )
     {
       grow();
     }
-    const size_t hash = key.hash();
+    const auto hash = static_cast<uint32_t>( key.hash() );
     const size_t mask = buckets_.size() - 1u;
     for ( size_t probe = hash & mask;; probe = ( probe + 1u ) & mask )
     {
@@ -91,7 +97,7 @@ public:
 private:
   struct bucket
   {
-    size_t hash;    /*!< cached full hash of the key */
+    uint32_t hash;  /*!< cached low hash bits of the key (probes start there) */
     uint32_t index; /*!< dense key index, npos = empty */
   };
 
@@ -116,7 +122,10 @@ private:
   }
 
   std::vector<bucket> buckets_;
-  std::vector<bitvec> keys_;
+  std::vector<Key> keys_;
 };
+
+/*! \brief The table over dynamic-width `bitvec` parities. */
+using parity_table = basic_parity_table<bitvec>;
 
 } // namespace qda::phasepoly

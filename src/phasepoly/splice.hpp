@@ -36,9 +36,9 @@ struct parity_network;
 
 /*! \brief Fingerprint state carried from a lookup to its offer.
  *
- *  `key` is the dual-seed FNV-1a pair over `bytes` (the canonical
- *  spelling).  The wire vectors depend on the level: at the circuit
- *  level `wires[local]` is the circuit qubit of first-touch label
+ *  `key` is the two-seed `fingerprint_bytes` pair over `bytes` (the
+ *  canonical spelling).  The wire vectors depend on the level: at the
+ *  circuit level `wires[local]` is the circuit qubit of first-touch label
  *  `local`; at the region level `wires[c]` is the region-local
  *  variable of canonical label `c` and `perm[v]` the canonical label
  *  of region-local variable `v`.

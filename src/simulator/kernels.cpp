@@ -150,9 +150,12 @@ private:
     std::lock_guard<std::mutex> lock( state_mutex_ );
     stop_ = false;
     workers_.reserve( desired );
+    /* a new worker starts at the current epoch: seeing an old epoch as
+     * new would wake it before run() publishes the next job's body */
+    const uint64_t epoch = epoch_;
     for ( uint32_t i = 0u; i < desired; ++i )
     {
-      workers_.emplace_back( [this] { worker_loop(); } );
+      workers_.emplace_back( [this, epoch] { worker_loop( epoch ); } );
     }
   }
 
@@ -174,10 +177,9 @@ private:
     workers_.clear();
   }
 
-  void worker_loop()
+  void worker_loop( uint64_t seen_epoch )
   {
     inside_parallel_region = true; /* workers never orchestrate nested jobs */
-    uint64_t seen_epoch = 0u;
     std::unique_lock<std::mutex> lock( state_mutex_ );
     for ( ;; )
     {

@@ -17,9 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -258,26 +261,37 @@ TEST( deadline_test, short_deadline_fails_a_slow_compile_fast )
 
 TEST( deadline_test, deadline_interrupts_tpar_mid_pass )
 {
-  /* self-calibrating: compile once to find this build's pass boundary
+  /* self-calibrating: compile to find this build's pass boundary
    * times, then arm a deadline that lands inside the tpar pass.  The
-   * subcircuit library must stay out of both runs: a library splice
-   * would skip the very tpar work the deadline is aimed at. */
+   * boundaries are the fastest of three compiles: a cold first compile
+   * (faulting in the heap) or one slowed by a busy host would place
+   * the deadline after tpar, and with tpar itself only ~50 ms that
+   * margin is thin.  An early deadline still aborts the run (at the
+   * next pass boundary).  The subcircuit library must stay out of every
+   * run: a library splice would skip the very tpar work the deadline
+   * is aimed at. */
   pass_manager manager( /*enable_cache=*/false );
   const auto spec = parse_pipeline( "revgen --hwb 10; tbs; revsimp; rptm; tpar; ps" );
   run_plan reference_plan;
   reference_plan.use_library = false;
-  const auto reference = manager.run( spec, staged_ir{}, reference_plan );
-  double before_tpar_ms = 0.0;
-  double tpar_ms = 0.0;
-  for ( const auto& report : reference.reports )
+  double before_tpar_ms = std::numeric_limits<double>::infinity();
+  double tpar_ms = std::numeric_limits<double>::infinity();
+  for ( int run = 0; run < 3; ++run )
   {
-    if ( report.name == "tpar" )
+    const auto reference = manager.run( spec, staged_ir{}, reference_plan );
+    double before_ms = 0.0;
+    for ( const auto& report : reference.reports )
     {
-      tpar_ms = report.elapsed_ms;
-      break;
+      if ( report.name == "tpar" )
+      {
+        tpar_ms = std::min( tpar_ms, report.elapsed_ms );
+        break;
+      }
+      before_ms += report.elapsed_ms;
     }
-    before_tpar_ms += report.elapsed_ms;
+    before_tpar_ms = std::min( before_tpar_ms, before_ms );
   }
+  ASSERT_TRUE( std::isfinite( tpar_ms ) ); /* every compile ran tpar */
   ASSERT_GT( tpar_ms, 0.0 );
 
   cancel_source source;

@@ -289,6 +289,64 @@ TEST( library_fingerprint_test, circuit_fingerprint_is_first_touch_canonical )
   EXPECT_EQ( b.wires, ( std::vector<uint32_t>{ 1u, 2u } ) );
 }
 
+/*! `num_qubits` wires, each first touched by an X in index order (so
+ *  local label = qubit), then one CX from wire 0 onto `target`. */
+qcircuit touch_all_then_cx( uint32_t num_qubits, uint32_t target )
+{
+  qcircuit circuit( num_qubits );
+  for ( uint32_t q = 0u; q < num_qubits; ++q )
+  {
+    circuit.x( q );
+  }
+  circuit.cx( 0u, target );
+  return circuit;
+}
+
+TEST( library_fingerprint_test, circuit_fingerprint_separates_wires_past_one_byte )
+{
+  /* labels 1 and 257 agree in their low byte */
+  phasepoly::splice_probe a;
+  phasepoly::splice_probe b;
+  library::fingerprint_circuit( touch_all_then_cx( 300u, 1u ), "tag", a );
+  library::fingerprint_circuit( touch_all_then_cx( 300u, 257u ), "tag", b );
+  EXPECT_EQ( a.bytes.size(), b.bytes.size() );
+  EXPECT_NE( a.bytes, b.bytes );
+  EXPECT_NE( a.key, b.key );
+  EXPECT_EQ( a.wires, b.wires );
+}
+
+TEST( library_fingerprint_test, circuit_fingerprint_separates_wires_past_sixteen_bits )
+{
+  /* labels 1 and 65537 agree in their low 16 bits; circuits this wide
+   * spell 32-bit ids */
+  phasepoly::splice_probe a;
+  phasepoly::splice_probe b;
+  library::fingerprint_circuit( touch_all_then_cx( 65540u, 1u ), "tag", a );
+  library::fingerprint_circuit( touch_all_then_cx( 65540u, 65537u ), "tag", b );
+  EXPECT_EQ( a.bytes.size(), b.bytes.size() );
+  EXPECT_NE( a.bytes, b.bytes );
+  EXPECT_NE( a.key, b.key );
+  ASSERT_EQ( a.wires.size(), 65540u );
+  EXPECT_EQ( a.wires[65537], 65537u );
+}
+
+TEST( library_fingerprint_test, byte_hash_separates_padding_and_single_byte_edits )
+{
+  /* the hash reads 8 bytes per step: zero padding of the last word and
+   * an edit at any position must still change the key */
+  const std::string base = "0123456789abcdefghij";
+  const auto key = library::fingerprint_bytes( base );
+  EXPECT_NE( library::fingerprint_bytes( base + std::string( 1u, '\0' ) ), key );
+  EXPECT_NE( library::fingerprint_bytes( std::string( 1u, '\0' ) ),
+             library::fingerprint_bytes( "" ) );
+  for ( size_t at = 0u; at < base.size(); ++at )
+  {
+    auto edited = base;
+    edited[at] = static_cast<char>( edited[at] ^ 0x40 );
+    EXPECT_NE( library::fingerprint_bytes( edited ), key ) << "at=" << at;
+  }
+}
+
 /* ---------------------------------------------------------------- */
 /* tpar splicing                                                    */
 /* ---------------------------------------------------------------- */
@@ -589,9 +647,11 @@ TEST( library_persistence_test, corrupt_header_cold_starts_with_counter )
 TEST( library_persistence_test, version_mismatch_cold_starts_with_counter )
 {
   scoped_store_file store{ "qda_test_library_version.bin" };
+  /* a store written before the 16-bit circuit spellings (version 1):
+   * its keys and spellings no longer match, so it must not load */
   std::string bytes( "QDALIB1\n", 8u );
-  const uint32_t future_version = 2u;
-  bytes.append( reinterpret_cast<const char*>( &future_version ), sizeof( future_version ) );
+  const uint32_t old_version = 1u;
+  bytes.append( reinterpret_cast<const char*>( &old_version ), sizeof( old_version ) );
   write_file( store.path, bytes );
 
   auto options = eager_options();

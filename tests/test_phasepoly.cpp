@@ -1,6 +1,7 @@
 #include "mapping/clifford_t.hpp"
 #include "optimization/phase_folding.hpp"
 #include "phasepoly/phasepoly.hpp"
+#include "pipeline/pass_manager.hpp"
 #include "simulator/unitary.hpp"
 #include "synthesis/revgen.hpp"
 #include "synthesis/transformation_based.hpp"
@@ -245,6 +246,95 @@ TEST( tpar_test, merges_beyond_64_parity_labels )
   const auto folded = phase_folding( circuit );
   EXPECT_EQ( compute_statistics( folded ).t_count, 0u );
   EXPECT_TRUE( circuits_equivalent( folded, circuit ) );
+}
+
+TEST( tpar_test, merges_labels_wider_than_the_inline_capacity )
+{
+  /* CX fan-in from eight freshly h'd qubits gives qubit 0 a nine-
+   * variable parity, past the labels' inline storage; the two T gates
+   * on that parity must still meet in the table and fold into one S */
+  qcircuit circuit( 9u );
+  for ( uint32_t q = 0u; q < 9u; ++q )
+  {
+    circuit.h( q );
+  }
+  for ( uint32_t q = 1u; q < 9u; ++q )
+  {
+    circuit.cx( q, 0u );
+  }
+  circuit.t( 0u );
+  circuit.h( 1u ); /* unrelated: re-seeds qubit 1, not qubit 0 */
+  circuit.cx( 3u, 2u );
+  circuit.t( 2u );
+  circuit.cx( 3u, 2u );
+  circuit.t( 0u );
+
+  const auto folded = phasepoly::tpar( circuit, { /*resynthesize=*/false } );
+  const auto stats = compute_statistics( folded );
+  EXPECT_EQ( stats.t_count, 1u ); /* only the T on x2 ^ x3 stays */
+  size_t s_gates = 0u;
+  for ( const auto& gate : folded.gates() )
+  {
+    s_gates += gate.kind == gate_kind::s && gate.target == 0u ? 1u : 0u;
+  }
+  EXPECT_EQ( s_gates, 1u );
+  EXPECT_TRUE( circuits_equivalent( folded, circuit ) );
+}
+
+TEST( tpar_test, fuzz_wide_fan_in_labels_spill_and_shrink )
+{
+  /* dense CX fan-in on 7 qubits grows labels past the inline storage
+   * and XORs them back below it; folding must stay exact throughout */
+  std::mt19937_64 rng( 41u );
+  for ( uint32_t trial = 0u; trial < 20u; ++trial )
+  {
+    qcircuit circuit( 7u );
+    for ( uint32_t g = 0u; g < 200u; ++g )
+    {
+      const uint32_t q = rng() % 7u;
+      const uint32_t other = ( q + 1u + rng() % 6u ) % 7u;
+      switch ( rng() % 8u )
+      {
+      case 0u: circuit.h( q ); break;
+      case 1u: circuit.t( q ); break;
+      case 2u: circuit.tdg( q ); break;
+      case 3u: circuit.x( q ); break;
+      case 4u: circuit.swap_( q, other ); break;
+      default: circuit.cx( other, q ); break;
+      }
+    }
+    const auto folded = phasepoly::tpar( circuit, { /*resynthesize=*/false } );
+    ASSERT_TRUE( circuits_equivalent( folded, circuit ) ) << "trial=" << trial;
+    EXPECT_LE( compute_statistics( folded ).t_count, compute_statistics( circuit ).t_count );
+  }
+}
+
+TEST( tpar_test, pins_hwb_counts_of_the_committed_ablation )
+{
+  /* the rptm_tpar / rptm_tpar_resynth rows of BENCH_tpar.json: any
+   * change to what folding or resynthesis emits shows up here */
+  struct pinned
+  {
+    const char* spec;
+    uint64_t t, cnot, gates;
+  };
+  const pinned cases[] = {
+      { "revgen --hwb 5; tbs; revsimp; rptm; tpar --fold-only; ps", 527u, 477u, 1245u },
+      { "revgen --hwb 5; tbs; revsimp; rptm; tpar; ps", 527u, 471u, 1239u },
+      { "revgen --hwb 6; tbs; revsimp; rptm; tpar --fold-only; ps", 2205u, 1903u, 5123u },
+      { "revgen --hwb 6; tbs; revsimp; rptm; tpar; ps", 2205u, 1875u, 5095u } };
+  pass_manager manager( /*enable_cache=*/false );
+  for ( const auto& c : cases )
+  {
+    run_plan plan;
+    plan.use_library = false;
+    const auto result = manager.run( parse_pipeline( c.spec ), staged_ir{}, plan );
+    ASSERT_TRUE( result.ir.last_statistics.has_value() ) << c.spec;
+    const auto& stats = *result.ir.last_statistics;
+    EXPECT_EQ( stats.t_count, c.t ) << c.spec;
+    EXPECT_EQ( stats.cnot_count, c.cnot ) << c.spec;
+    EXPECT_EQ( stats.num_gates, c.gates ) << c.spec;
+  }
 }
 
 TEST( tpar_test, preserves_random_clifford_t_circuits )
