@@ -9,8 +9,8 @@
  *   - baseline        : library disabled (`use_library = false`)
  *   - first sighting  : a fresh library; every shape misses, is
  *                       synthesized and fingerprinted, and only shapes
- *                       that already repeated inside the run (regions,
- *                       MCT ladders) are admitted
+ *                       that already repeated inside the run (regions)
+ *                       are admitted
  *   - second sighting : the same library; the first repeat admits the
  *                       whole rptm and tpar inputs, later ones hit and
  *                       splice them, skipping synthesis

@@ -64,6 +64,14 @@ public:
 
   uint32_t num_wires() const noexcept { return num_wires_; }
 
+  /*! \brief Widens the circuit to `num_wires` (never narrows): lowering
+   *         passes acquire helper wires while they emit.
+   */
+  void grow_wires( uint32_t num_wires ) noexcept
+  {
+    num_wires_ = std::max( num_wires_, num_wires );
+  }
+
   /*! \brief Number of alive (non-tombstoned) gates. */
   size_t num_gates() const noexcept { return cols_.size() - num_dead_; }
   bool empty() const noexcept { return num_gates() == 0u; }
@@ -159,7 +167,14 @@ public:
     }
   }
 
-  void reserve( size_t n ) { cols_.reserve( n ); }
+  /*! \brief Reserves room for `n` rows in every per-row vector. */
+  void reserve( size_t n )
+  {
+    cols_.reserve( n );
+    dead_.reserve( n );
+    id_of_.reserve( n );
+    slot_of_.reserve( n );
+  }
 
   /* ---- views ---- */
 

@@ -507,48 +507,25 @@ void fingerprint_rev_circuit( const rev_circuit& circuit, std::string_view tag,
                               phasepoly::splice_probe& probe )
 {
   probe.bytes.clear();
-  probe.bytes.append( "rev1|" );
+  probe.bytes.append( "rev2|" );
   probe.bytes.append( tag );
   probe.bytes.push_back( '|' );
   probe.wires.clear();
   probe.perm.clear();
 
-  const uint32_t num_lines = circuit.num_lines();
-  std::vector<uint32_t> local_of( num_lines, 0u );
-  std::vector<uint8_t> seen( num_lines, 0u );
-  const auto local = [&]( uint32_t line ) {
-    if ( seen[line] == 0u )
-    {
-      seen[line] = 1u;
-      local_of[line] = static_cast<uint32_t>( probe.wires.size() );
-      probe.wires.push_back( line );
-    }
-    return local_of[line];
-  };
-
-  probe.before = { 0u, 0u, 0u };
-  std::vector<std::pair<uint32_t, uint8_t>> controls;
+  /* raw rows, no relabeling: rptm's output follows the line order
+   * (controls ascending within a gate, pending X flips flushed in line
+   * order, dirty ancillas borrowed lowest-first among all wires), so
+   * two inputs share an entry only when a miss would emit the same */
+  append_u32( probe.bytes, circuit.num_lines() );
+  probe.bytes.reserve( probe.bytes.size() + circuit.num_gates() * 20u );
   for ( const auto& gate : circuit.gates() )
   {
-    ++probe.before[0];
-    controls.clear();
-    for ( uint32_t line = 0u; line < num_lines; ++line )
-    {
-      if ( ( gate.controls >> line ) & 1u )
-      {
-        controls.emplace_back( local( line ),
-                               static_cast<uint8_t>( ( gate.polarity >> line ) & 1u ) );
-      }
-    }
-    std::sort( controls.begin(), controls.end() );
-    append_u8( probe.bytes, static_cast<uint8_t>( controls.size() ) );
-    for ( const auto& [id, polarity] : controls )
-    {
-      append_u32( probe.bytes, id );
-      append_u8( probe.bytes, polarity );
-    }
-    append_u32( probe.bytes, local( gate.target ) );
+    append_u64( probe.bytes, gate.controls );
+    append_u64( probe.bytes, gate.polarity & gate.controls );
+    append_u32( probe.bytes, gate.target );
   }
+  probe.before = { circuit.num_gates(), 0u, 0u };
   finish_probe( probe );
 }
 

@@ -19,8 +19,10 @@
  *     relabeling; canonical under any qubit relabeling that preserves
  *     first-touch order.  Local wire ids are 16-bit for circuits of up
  *     to 65536 qubits and 32-bit beyond (the width is in the header).
- *   - `fingerprint_rev_circuit`: the same first-touch spelling for a
- *     reversible MCT circuit (the rptm input).
+ *   - `fingerprint_rev_circuit`: the exact spelling of a reversible
+ *     MCT circuit (the rptm input): line count and raw gate rows.  It
+ *     is not relabeling-invariant on purpose, because rptm's output
+ *     follows the line order.
  *
  *  Angles enter the canonical *ordering* quantized (pi/4 / 2^20
  *  buckets, robust to ulp noise) but the verified spelling keeps the
@@ -68,7 +70,9 @@ void fingerprint_phase_polynomial( const phasepoly::phase_polynomial& poly,
 void fingerprint_circuit( const qcircuit& circuit, std::string_view tag,
                           phasepoly::splice_probe& probe );
 
-/*! \brief First-touch-canonical fingerprint of a reversible circuit. */
+/*! \brief Exact fingerprint of a reversible circuit (no relabeling:
+ *         `probe.wires` stays empty).
+ */
 void fingerprint_rev_circuit( const rev_circuit& circuit, std::string_view tag,
                               phasepoly::splice_probe& probe );
 

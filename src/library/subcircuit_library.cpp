@@ -17,7 +17,8 @@ namespace
 {
 
 constexpr char file_magic[8] = { 'Q', 'D', 'A', 'L', 'I', 'B', '1', '\n' };
-constexpr uint32_t file_version = 2u; /* 2: 16-bit circuit spellings, word-wise keys */
+/* 2: 16-bit circuit spellings, word-wise keys; 3: no MCT-ladder records */
+constexpr uint32_t file_version = 3u;
 constexpr uint32_t record_magic = 0x4c524543u;
 constexpr uint64_t max_payload_size = uint64_t{ 1 } << 30u;
 constexpr uint32_t invalid_wire = std::numeric_limits<uint32_t>::max();
@@ -138,7 +139,7 @@ bool parse_entry( byte_reader& reader, std::array<uint64_t, 2>& key, library_ent
   key[0] = reader.u64();
   key[1] = reader.u64();
   const uint32_t kind = reader.u32();
-  if ( kind < 1u || kind > 4u )
+  if ( kind < 1u || kind > 3u )
   {
     return false;
   }
@@ -233,15 +234,6 @@ void count_after_costs( const std::vector<qgate>& gates, entry_costs& costs )
     costs.t_after += gate.is_t_gate() ? 1u : 0u;
     costs.cnot_after += gate.kind == gate_kind::cx ? 1u : 0u;
   }
-}
-
-std::string ladder_spelling( uint32_t num_controls, bool relative_phase, bool keep_toffoli )
-{
-  std::string bytes = "mct1|clean|";
-  put_u32( bytes, num_controls );
-  bytes.push_back( relative_phase ? '1' : '0' );
-  bytes.push_back( keep_toffoli ? '1' : '0' );
-  return bytes;
 }
 
 } // namespace
@@ -497,29 +489,25 @@ bool subcircuit_library::splice_rev_mapping( const rev_circuit& in, std::string_
   fingerprint_rev_circuit( in, tag, probe );
   auto entry = lookup( probe.key, entry_kind::rptm_circuit, probe.bytes );
   if ( !entry || entry->aux > entry->num_wires ||
-       entry->num_wires - entry->aux != probe.wires.size() )
+       entry->num_wires - entry->aux != in.num_lines() )
   {
     return false;
   }
   QDA_TRACE_SPAN_NAMED( splice_span, "library.splice" );
   splice_span.attr( "level", "rptm-circuit" );
   splice_span.attr( "gates", static_cast<int64_t>( entry->gates.size() ) );
-  const uint32_t num_lines = in.num_lines();
-  const uint32_t touched = entry->num_wires - entry->aux;
-  out = qcircuit( num_lines + entry->aux );
+  /* the key is the exact input, so the stored wires are the output's;
+   * only their range is checked (entries may come from the store) */
+  out = qcircuit( entry->num_wires );
   out.core().reserve( entry->gates.size() );
-  const auto wire_of = [&]( uint32_t local ) {
-    if ( local < touched )
-    {
-      return probe.wires[local];
-    }
-    return local < entry->num_wires ? num_lines + ( local - touched ) : invalid_wire;
+  const auto in_range = [&]( uint32_t wire ) {
+    return wire < entry->num_wires ? wire : invalid_wire;
   };
   qgate gate; /* reused: copy-assignment keeps its control buffer */
   for ( const auto& stored : entry->gates )
   {
     gate = stored;
-    if ( !remap_gate( gate, wire_of ) )
+    if ( !remap_gate( gate, in_range ) )
     {
       unsplicable_.fetch_add( 1u, std::memory_order_relaxed );
       QDA_COUNT( "library.unsplicable" );
@@ -541,67 +529,19 @@ void subcircuit_library::offer_rev_mapping( const phasepoly::splice_probe& probe
   }
   library_entry entry;
   entry.kind = entry_kind::rptm_circuit;
-  const uint32_t touched = static_cast<uint32_t>( probe.wires.size() );
-  entry.num_wires = touched + num_helpers;
+  entry.num_wires = num_lines + num_helpers;
   entry.aux = num_helpers;
   entry.verify = probe.bytes;
   entry.cost_ms = cost_ms;
   entry.costs.gates_before = probe.before[0];
-
-  std::vector<uint32_t> local_of( num_lines, invalid_wire );
-  for ( uint32_t local = 0u; local < touched; ++local )
-  {
-    local_of[probe.wires[local]] = local;
-  }
-  const auto local = [&]( uint32_t wire ) {
-    if ( wire < num_lines )
-    {
-      return local_of[wire];
-    }
-    const uint32_t helper = wire - num_lines;
-    return helper < num_helpers ? touched + helper : invalid_wire;
-  };
   entry.gates.reserve( mapped.num_gates() );
   for ( const auto& view : mapped.gates() )
   {
-    qgate gate = view.materialize();
-    if ( !remap_gate( gate, local ) )
-    {
-      unsplicable_.fetch_add( 1u, std::memory_order_relaxed );
-      QDA_COUNT( "library.unsplicable" );
-      return;
-    }
-    entry.gates.push_back( std::move( gate ) );
+    entry.gates.push_back( view.materialize() );
   }
   count_after_costs( entry.gates, entry.costs );
   entry.costs.depth_after = compute_statistics( mapped ).depth;
   admit( probe.key, std::move( entry ) );
-}
-
-/* ---- MCT ladder tier ---- */
-
-std::shared_ptr<const library_entry>
-subcircuit_library::lookup_ladder( uint32_t num_controls, bool relative_phase,
-                                   bool keep_toffoli )
-{
-  const auto spelling = ladder_spelling( num_controls, relative_phase, keep_toffoli );
-  return lookup( fingerprint_bytes( spelling ), entry_kind::mct_ladder, spelling );
-}
-
-void subcircuit_library::offer_ladder( uint32_t num_controls, bool relative_phase,
-                                       bool keep_toffoli, std::vector<qgate> gates )
-{
-  /* one entry per (k, options): tiny and always worth keeping, so the
-   * hotness gate is skipped */
-  auto spelling = ladder_spelling( num_controls, relative_phase, keep_toffoli );
-  library_entry entry;
-  entry.kind = entry_kind::mct_ladder;
-  entry.num_wires = 2u * num_controls - 1u;
-  entry.aux = num_controls;
-  entry.verify = spelling;
-  entry.gates = std::move( gates );
-  count_after_costs( entry.gates, entry.costs );
-  admit( fingerprint_bytes( spelling ), std::move( entry ) );
 }
 
 /* ---- persistence ---- */

@@ -4,11 +4,11 @@
  *  ROADMAP item 2: the middle tier between tpar's per-spelling memo
  *  (one circuit) and the compile server's whole-compilation result
  *  cache (one exact pipeline).  Recurring shapes -- whole rptm/tpar
- *  pass inputs, phase-polynomial regions, MCT V-chain ladders -- are
- *  fingerprinted canonically (library/fingerprint.hpp), admitted when
- *  the hotness profile says the amortized saving is worth it
- *  (library/profile.hpp), and spliced back on later sightings instead
- *  of re-running synthesis.  Storage is two-tier:
+ *  pass inputs and phase-polynomial regions -- are fingerprinted
+ *  canonically (library/fingerprint.hpp), admitted when the hotness
+ *  profile says the amortized saving is worth it (library/profile.hpp),
+ *  and spliced back on later sightings instead of re-running
+ *  synthesis.  Storage is two-tier:
  *
  *   - in-memory: `server::sharded_lru` keyed on the dual-seed
  *     fingerprint, shared by every pass manager in the process;
@@ -47,8 +47,7 @@ enum class entry_kind : uint32_t
 {
   region = 1u,       /*!< one phase-polynomial region (canonical labels) */
   tpar_circuit = 2u, /*!< a whole tpar input (first-touch labels) */
-  rptm_circuit = 3u, /*!< a whole rptm input (first-touch labels + helpers) */
-  mct_ladder = 4u    /*!< one clean V-chain MCT lowering */
+  rptm_circuit = 3u  /*!< a whole rptm input (exact wires, helpers after the lines) */
 };
 
 /*! \brief Cost metadata of one entry (before -> after the stored form). */
@@ -66,7 +65,7 @@ struct library_entry
 {
   entry_kind kind = entry_kind::region;
   uint32_t num_wires = 0u; /*!< size of the local label space */
-  uint32_t aux = 0u;       /*!< rptm: helper count; mct: control count */
+  uint32_t aux = 0u;       /*!< rptm: helper count */
   std::string verify;      /*!< canonical spelling, compared on every hit */
   std::vector<qgate> gates;
   double global_phase = 0.0; /*!< region networks only */
@@ -149,24 +148,15 @@ public:
 
   /* ---- mapping-level splices (rptm) ---- */
 
-  /*! \brief Whole-rptm-input splice: on a verified hit rebuilds the
-   *         mapped circuit (touched lines relabeled back, helpers
-   *         appended after `in.num_lines()`) and returns true.
+  /*! \brief Whole-rptm-input splice: on a verified hit of the exact
+   *         input rebuilds the mapped circuit (helpers after
+   *         `in.num_lines()`) and returns true.
    */
   bool splice_rev_mapping( const rev_circuit& in, std::string_view tag,
                            phasepoly::splice_probe& probe, qcircuit& out,
                            uint32_t& num_helpers );
   void offer_rev_mapping( const phasepoly::splice_probe& probe, const qcircuit& mapped,
                           uint32_t num_lines, uint32_t num_helpers, double cost_ms );
-
-  /*! \brief Clean V-chain ladder of `k` controls: gates over local
-   *         labels [controls 0..k-1, target k, helpers k+1..2k-2].
-   */
-  std::shared_ptr<const library_entry> lookup_ladder( uint32_t num_controls,
-                                                      bool relative_phase,
-                                                      bool keep_toffoli );
-  void offer_ladder( uint32_t num_controls, bool relative_phase, bool keep_toffoli,
-                     std::vector<qgate> gates );
 
   /* ---- persistence ---- */
 

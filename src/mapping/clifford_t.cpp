@@ -4,40 +4,14 @@
 #include "library/subcircuit_library.hpp"
 #include "mapping/ancilla.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace qda
 {
-
-void append_toffoli_clifford_t( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target )
-{
-  std::vector<qgate> gates;
-  emit_toffoli_clifford_t( gates, c0, c1, target );
-  for ( const auto& gate : gates )
-  {
-    circuit.add_gate( gate );
-  }
-}
-
-void append_relative_phase_toffoli( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target,
-                                    bool adjoint )
-{
-  /* RCCX is an involution (its gate list is a palindrome under
-   * inversion), so compute and uncompute emit the identical cascade. */
-  (void)adjoint;
-  std::vector<qgate> gates;
-  emit_relative_phase_toffoli( gates, c0, c1, target );
-  for ( const auto& gate : gates )
-  {
-    circuit.add_gate( gate );
-  }
-}
 
 uint64_t mct_t_count( uint32_t num_controls, bool use_relative_phase )
 {
@@ -50,7 +24,7 @@ namespace
 mct_emit_options emit_options_of( const clifford_t_options& options )
 {
   return { options.use_relative_phase, options.keep_toffoli, options.strategy,
-           options.weights, options.library };
+           options.weights };
 }
 
 /*! Entries mapped under different options must never alias: the tag
@@ -72,15 +46,31 @@ std::string rptm_library_tag( const clifford_t_options& options )
   return tag;
 }
 
-qcircuit build_circuit( const ancilla_manager& ancillas, std::vector<qgate>&& gates )
+void append_x( qcircuit& out, uint32_t line )
 {
-  qcircuit circuit( ancillas.num_wires() );
-  for ( const auto& gate : gates )
-  {
-    circuit.add_gate( gate );
-  }
-  return circuit;
+  out.core().emplace( gate_kind::x, std::span<const uint32_t>{}, line, 0u, 0.0 );
 }
+
+/*! Rows one k-control gate emits under the clean V-chain, which the
+ *  default weights pick whenever helpers can be had.  The entry points
+ *  size the output columns from it once: growing them by doubling
+ *  costs about as much as the emission itself.  Other strategies emit
+ *  more, and the columns then grow as usual. */
+uint64_t clean_chain_rows( uint32_t num_controls, const clifford_t_options& options )
+{
+  if ( options.keep_toffoli )
+  {
+    return num_controls < 2u ? 1u : 2u * num_controls - 3u; /* one row per Toffoli */
+  }
+  /* the serialized primitive count of the chain is its row count */
+  return mct_lowering_cost( num_controls, mct_strategy::clean, options.use_relative_phase )
+      .depth;
+}
+
+/*! Source gates between two cancellation polls: one gate can emit a
+ *  few hundred rows, so this bounds a poll's lag to tens of
+ *  microseconds. */
+constexpr uint32_t cancel_stride = 64u;
 
 } // namespace
 
@@ -91,9 +81,8 @@ clifford_t_result map_to_clifford_t( const rev_circuit& source, const clifford_t
   phasepoly::splice_probe probe;
   if ( options.library )
   {
-    /* whole-input tier: a verified fingerprint hit replays the stored
-     * Clifford+T circuit (touched lines relabeled back, helpers
-     * re-appended after the data lines) and skips emission entirely */
+    /* whole-input tier: a verified hit of this exact input replays
+     * the stored Clifford+T circuit and skips emission entirely */
     qcircuit spliced( num_lines );
     uint32_t num_helpers = 0u;
     if ( options.library->splice_rev_mapping( source, rptm_library_tag( options ), probe,
@@ -106,7 +95,15 @@ clifford_t_result map_to_clifford_t( const rev_circuit& source, const clifford_t
 
   ancilla_manager ancillas( num_lines, options.max_qubits );
   const auto emit_options = emit_options_of( options );
-  std::vector<qgate> out;
+  qcircuit out( num_lines );
+  uint64_t rows = num_lines; /* the final flush of pending flips */
+  for ( const auto& gate : source.gates() )
+  {
+    /* every control may resolve one pending flip */
+    const uint32_t k = popcount64( gate.controls );
+    rows += k + clean_chain_rows( k, options );
+  }
+  out.core().reserve( rows );
 
   /* Lazy X conjugation of negative controls: bit `line` set means an X
    * is pending on that line.  A pending flip is only resolved when a
@@ -115,41 +112,36 @@ clifford_t_result map_to_clifford_t( const rev_circuit& source, const clifford_t
    * Pending flips commute with gates that use the line as target or
    * borrow it as a (state-restoring) dirty ancilla. */
   uint64_t flipped = 0u;
+  std::vector<uint32_t> controls;
+  controls.reserve( num_lines );
+  cancel_checkpoint checkpoint( cancel_stride );
 
   for ( const auto& gate : source.gates() )
   {
-    std::vector<uint32_t> controls;
-    for ( uint32_t line = 0u; line < num_lines; ++line )
+    if ( checkpoint.due() )
     {
-      if ( !( ( gate.controls >> line ) & 1u ) )
-      {
-        continue;
-      }
+      options.cancel.check( "rptm" );
+    }
+    controls.clear();
+    for ( uint64_t mask = gate.controls; mask != 0u; mask &= mask - 1u )
+    {
+      const uint32_t line = least_significant_bit( mask );
       controls.push_back( line );
-      const bool want_flip = !( ( gate.polarity >> line ) & 1u );
-      if ( ( ( flipped >> line ) & 1u ) != want_flip )
+      /* a flip must be pending exactly on the negative controls */
+      const uint64_t bit = uint64_t{ 1 } << line;
+      if ( ( flipped ^ ~gate.polarity ) & bit )
       {
-        qgate x;
-        x.kind = gate_kind::x;
-        x.target = line;
-        out.push_back( std::move( x ) );
-        flipped ^= uint64_t{ 1 } << line;
+        append_x( out, line );
+        flipped ^= bit;
       }
     }
     emit_mct_gate( out, ancillas, controls, gate.target, emit_options );
   }
-  for ( uint32_t line = 0u; line < num_lines; ++line )
+  for ( ; flipped != 0u; flipped &= flipped - 1u )
   {
-    if ( ( flipped >> line ) & 1u )
-    {
-      qgate x;
-      x.kind = gate_kind::x;
-      x.target = line;
-      out.push_back( std::move( x ) );
-    }
+    append_x( out, least_significant_bit( flipped ) );
   }
-  clifford_t_result result{ build_circuit( ancillas, std::move( out ) ),
-                            ancillas.num_helpers() };
+  clifford_t_result result{ std::move( out ), ancillas.num_helpers() };
   if ( options.library && probe.valid )
   {
     const double elapsed_ms = std::chrono::duration<double, std::milli>(
@@ -166,31 +158,40 @@ clifford_t_result lower_multi_controlled_gates( const qcircuit& source,
 {
   ancilla_manager ancillas( source.num_qubits(), options.max_qubits );
   const auto emit_options = emit_options_of( options );
-  std::vector<qgate> out;
+  qcircuit out( source.num_qubits() );
+  uint64_t rows = 0u;
+  for ( const auto& gate : source.gates() )
+  {
+    const bool multi = gate.kind == gate_kind::mcx || gate.kind == gate_kind::mcz;
+    rows += multi ? clean_chain_rows( static_cast<uint32_t>( gate.controls.size() ), options )
+                  : 1u;
+    rows += gate.kind == gate_kind::mcz ? 2u : 0u;
+  }
+  out.core().reserve( rows );
+  cancel_checkpoint checkpoint( cancel_stride );
 
   for ( const auto& gate : source.gates() )
   {
+    if ( checkpoint.due() )
+    {
+      options.cancel.check( "lower" );
+    }
     switch ( gate.kind )
     {
     case gate_kind::mcx:
       emit_mct_gate( out, ancillas, gate.controls, gate.target, emit_options );
       break;
     case gate_kind::mcz:
-    {
-      qgate h;
-      h.kind = gate_kind::h;
-      h.target = gate.target;
-      out.push_back( h );
+      out.core().emplace( gate_kind::h, std::span<const uint32_t>{}, gate.target, 0u, 0.0 );
       emit_mct_gate( out, ancillas, gate.controls, gate.target, emit_options );
-      out.push_back( h );
+      out.core().emplace( gate_kind::h, std::span<const uint32_t>{}, gate.target, 0u, 0.0 );
       break;
-    }
     default:
-      out.push_back( gate.materialize() );
+      out.core().emplace( gate.kind, gate.controls, gate.target, gate.target2, gate.angle );
       break;
     }
   }
-  return { build_circuit( ancillas, std::move( out ) ), ancillas.num_helpers() };
+  return { std::move( out ), ancillas.num_helpers() };
 }
 
 } // namespace qda

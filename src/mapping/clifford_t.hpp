@@ -11,15 +11,26 @@
  *  are conjugated with X lazily: a flip stays pending until a gate
  *  needs the line in the opposite polarity, so back-to-back gates
  *  sharing negative controls emit no cancelling X pairs.
+ *
+ *  Both entry points emit straight into the IR columns of the result
+ *  circuit: controls come from the gate's mask bits into one reused
+ *  buffer, and each primitive appends its rows in place.  Both poll
+ *  `clifford_t_options::cancel` every few source gates.
  */
 #pragma once
 
 #include "circuit/circuit_cast.hpp"
+#include "fault/cancel.hpp"
 #include "mapping/mct_lowering.hpp"
 #include "quantum/qcircuit.hpp"
 #include "reversible/rev_circuit.hpp"
 
 #include <optional>
+
+namespace qda::library
+{
+class subcircuit_library;
+}
 
 namespace qda
 {
@@ -40,11 +51,13 @@ struct clifford_t_options
   /*! Total qubit budget (data lines + helpers), e.g. the device size.
    *  Unset = clean helpers may grow freely. */
   std::optional<uint32_t> max_qubits{};
-  /*! Cross-compilation subcircuit library: whole rptm inputs whose
-   *  canonical fingerprint hits splice the stored Clifford+T circuit
-   *  (skipping emission entirely), and clean V-chain ladders are
-   *  replayed per control count.  Null disables both tiers. */
+  /*! Cross-compilation subcircuit library: an rptm input mapped
+   *  before (the exact circuit, under the same options) splices the
+   *  stored Clifford+T circuit, skipping emission entirely.  Null
+   *  disables it. */
   library::subcircuit_library* library = nullptr;
+  /*! Cooperative cancellation, polled in the emission loops. */
+  cancel_token cancel{};
 };
 
 /*! \brief Result of the mapping. */
@@ -61,13 +74,6 @@ struct clifford_t_result
  */
 clifford_t_result map_to_clifford_t( const rev_circuit& circuit,
                                      const clifford_t_options& options = {} );
-
-/*! \brief Appends the textbook 7-T Toffoli decomposition. */
-void append_toffoli_clifford_t( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target );
-
-/*! \brief Appends Maslov's 4-T relative-phase Toffoli (or its adjoint). */
-void append_relative_phase_toffoli( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target,
-                                    bool adjoint = false );
 
 /*! \brief Expands all mcx/mcz gates of a quantum circuit into Clifford+T,
  *         appending clean helper qubits as needed (mcz is H-conjugated

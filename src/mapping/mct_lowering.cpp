@@ -1,10 +1,9 @@
 #include "mapping/mct_lowering.hpp"
 
-#include "library/subcircuit_library.hpp"
+#include "quantum/qcircuit.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
 namespace qda
 {
@@ -168,29 +167,38 @@ std::optional<mct_strategy> select_mct_strategy( uint32_t num_controls, uint32_t
 namespace
 {
 
-void push1( std::vector<qgate>& out, gate_kind kind, uint32_t target )
+using circuit_core = qcircuit::core_type;
+
+void push1( circuit_core& out, gate_kind kind, uint32_t target )
 {
-  qgate gate;
-  gate.kind = kind;
-  gate.target = target;
-  out.push_back( std::move( gate ) );
+  out.emplace( kind, std::span<const uint32_t>{}, target, 0u, 0.0 );
 }
 
-void push_cx( std::vector<qgate>& out, uint32_t control, uint32_t target )
+void push_cx( circuit_core& out, uint32_t control, uint32_t target )
 {
-  qgate gate;
-  gate.kind = gate_kind::cx;
-  gate.controls = { control };
-  gate.target = target;
-  out.push_back( std::move( gate ) );
+  out.emplace( gate_kind::cx, std::span<const uint32_t>( &control, 1u ), target, 0u, 0.0 );
+}
+
+void check_toffoli_operands( const qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target )
+{
+  const uint32_t wires = circuit.num_qubits();
+  if ( c0 >= wires || c1 >= wires || target >= wires )
+  {
+    throw std::invalid_argument( "qcircuit: qubit index out of range" );
+  }
+  if ( c0 == c1 || c0 == target || c1 == target )
+  {
+    throw std::invalid_argument( "qcircuit::add_gate: repeated operand qubits" );
+  }
 }
 
 } // namespace
 
-void emit_toffoli_clifford_t( std::vector<qgate>& out, uint32_t c0, uint32_t c1,
-                              uint32_t target )
+void append_toffoli_clifford_t( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target )
 {
+  check_toffoli_operands( circuit, c0, c1, target );
   /* standard 7-T decomposition (Nielsen-Chuang Fig. 4.9) */
+  auto& out = circuit.core();
   push1( out, gate_kind::h, target );
   push_cx( out, c1, target );
   push1( out, gate_kind::tdg, target );
@@ -208,11 +216,14 @@ void emit_toffoli_clifford_t( std::vector<qgate>& out, uint32_t c0, uint32_t c1,
   push_cx( out, c0, c1 );
 }
 
-void emit_relative_phase_toffoli( std::vector<qgate>& out, uint32_t c0, uint32_t c1,
-                                  uint32_t target )
+void append_relative_phase_toffoli( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target,
+                                    bool adjoint )
 {
   /* Maslov [42]: RCCX with 4 T gates; a palindrome under inversion, so
    * compute and uncompute emit the identical cascade. */
+  (void)adjoint;
+  check_toffoli_operands( circuit, c0, c1, target );
+  auto& out = circuit.core();
   push1( out, gate_kind::h, target );
   push1( out, gate_kind::t, target );
   push_cx( out, c1, target );
@@ -233,64 +244,55 @@ namespace
 
 struct mct_emitter
 {
-  std::vector<qgate>& out;
+  qcircuit& out;
   const mct_emit_options& options;
 
   void toffoli( uint32_t c0, uint32_t c1, uint32_t target ) const
   {
     if ( options.keep_toffoli )
     {
-      qgate gate;
-      gate.kind = gate_kind::mcx;
-      gate.controls = { c0, c1 };
-      gate.target = target;
-      out.push_back( std::move( gate ) );
+      const uint32_t controls[2] = { c0, c1 };
+      out.core().emplace( gate_kind::mcx, std::span<const uint32_t>( controls ), target, 0u,
+                          0.0 );
     }
     else
     {
-      emit_toffoli_clifford_t( out, c0, c1, target );
+      append_toffoli_clifford_t( out, c0, c1, target );
     }
   }
 
   /* compute/uncompute Toffoli of the clean chain: relative-phase safe */
   void chain_toffoli( uint32_t c0, uint32_t c1, uint32_t target ) const
   {
-    if ( options.keep_toffoli )
+    if ( options.use_relative_phase && !options.keep_toffoli )
     {
-      toffoli( c0, c1, target );
-    }
-    else if ( options.use_relative_phase )
-    {
-      emit_relative_phase_toffoli( out, c0, c1, target );
+      append_relative_phase_toffoli( out, c0, c1, target );
     }
     else
     {
-      emit_toffoli_clifford_t( out, c0, c1, target );
+      toffoli( c0, c1, target );
     }
   }
 
   /*! V-chain over clean helpers a0..a_{k-3}:
    *    a0 = c0 & c1;  a_i = c_{i+1} & a_{i-1};  target ^= c_{k-1} & a_{k-3}
+   *  computed upwards, then uncomputed in reverse order.
    */
   void clean_chain( std::span<const uint32_t> controls, uint32_t target,
                     std::span<const uint32_t> helpers ) const
   {
     const uint32_t k = static_cast<uint32_t>( controls.size() );
-    std::vector<std::array<uint32_t, 3u>> chain;
-    chain.push_back( { controls[0], controls[1], helpers[0] } );
+    chain_toffoli( controls[0], controls[1], helpers[0] );
     for ( uint32_t i = 2u; i + 1u < k; ++i )
     {
-      chain.push_back( { controls[i], helpers[i - 2u], helpers[i - 1u] } );
-    }
-    for ( const auto& [a, b, t] : chain )
-    {
-      chain_toffoli( a, b, t );
+      chain_toffoli( controls[i], helpers[i - 2u], helpers[i - 1u] );
     }
     toffoli( controls[k - 1u], helpers[k - 3u], target );
-    for ( auto it = chain.rbegin(); it != chain.rend(); ++it )
+    for ( uint32_t i = k - 2u; i >= 2u; --i )
     {
-      chain_toffoli( ( *it )[0], ( *it )[1], ( *it )[2] );
+      chain_toffoli( controls[i], helpers[i - 2u], helpers[i - 1u] );
     }
+    chain_toffoli( controls[0], controls[1], helpers[0] );
   }
 
   /*! Barenco borrowed-ancilla chain (Lemma 7.2): two halves of a
@@ -338,7 +340,7 @@ struct mct_emitter
     const uint32_t k = static_cast<uint32_t>( controls.size() );
     if ( k == 1u )
     {
-      push_cx( out, controls[0], target );
+      push_cx( out.core(), controls[0], target );
       return;
     }
     if ( k == 2u )
@@ -376,7 +378,7 @@ struct mct_emitter
 
 } // namespace
 
-void emit_mct_gate( std::vector<qgate>& out, ancilla_manager& ancillas,
+void emit_mct_gate( qcircuit& out, ancilla_manager& ancillas,
                     std::span<const uint32_t> controls, uint32_t target,
                     const mct_emit_options& options )
 {
@@ -384,12 +386,12 @@ void emit_mct_gate( std::vector<qgate>& out, ancilla_manager& ancillas,
   const mct_emitter emitter{ out, options };
   if ( k == 0u )
   {
-    push1( out, gate_kind::x, target );
+    push1( out.core(), gate_kind::x, target );
     return;
   }
   if ( k == 1u )
   {
-    push_cx( out, controls[0], target );
+    push_cx( out.core(), controls[0], target );
     return;
   }
   if ( k == 2u )
@@ -427,56 +429,8 @@ void emit_mct_gate( std::vector<qgate>& out, ancilla_manager& ancillas,
   case mct_strategy::clean:
   {
     const auto helpers = ancillas.acquire_clean( chain );
-    /* the clean V-chain only depends on (k, options): cache it in the
-     * library over canonical labels [controls 0..k-1, target k,
-     * helpers k+1..2k-2] and replay through the wire map */
-    const auto wire_of = [&]( uint32_t local ) -> uint32_t {
-      if ( local < k )
-      {
-        return controls[local];
-      }
-      return local == k ? target : helpers[local - k - 1u];
-    };
-    if ( options.library )
-    {
-      if ( const auto ladder = options.library->lookup_ladder(
-               k, options.use_relative_phase, options.keep_toffoli ) )
-      {
-        for ( const auto& stored : ladder->gates )
-        {
-          qgate gate = stored;
-          gate.target = wire_of( gate.target );
-          for ( auto& control : gate.controls )
-          {
-            control = wire_of( control );
-          }
-          out.push_back( std::move( gate ) );
-        }
-        ancillas.release_clean( helpers );
-        break;
-      }
-    }
-    const size_t emitted_from = out.size();
+    out.core().grow_wires( ancillas.num_wires() );
     emitter.clean_chain( controls, target, helpers );
-    if ( options.library )
-    {
-      std::unordered_map<uint32_t, uint32_t> local_of;
-      for ( uint32_t local = 0u; local < 2u * k - 1u; ++local )
-      {
-        local_of.emplace( wire_of( local ), local );
-      }
-      std::vector<qgate> gates( out.begin() + emitted_from, out.end() );
-      for ( auto& gate : gates )
-      {
-        gate.target = local_of.at( gate.target );
-        for ( auto& control : gate.controls )
-        {
-          control = local_of.at( control );
-        }
-      }
-      options.library->offer_ladder( k, options.use_relative_phase,
-                                     options.keep_toffoli, std::move( gates ) );
-    }
     ancillas.release_clean( helpers );
     break;
   }

@@ -17,26 +17,27 @@
  *  - `automatic`: per-gate selection by weighted T/CNOT/H/depth cost
  *    among the strategies feasible under the current ancilla budget.
  *
+ *  Emission appends rows straight into the IR columns of the output
+ *  `qcircuit` (no intermediate gate objects, no per-gate heap vector);
+ *  the output widens as clean helpers are acquired.  The 7-T Toffoli
+ *  and the 4-T relative-phase Toffoli below are the only primitives.
+ *
  *  `mct_lowering_cost` is the analytic cost table behind the selection;
  *  tests pin its T/CNOT/H predictions to the actually emitted circuits.
  */
 #pragma once
 
 #include "mapping/ancilla.hpp"
-#include "quantum/qgate.hpp"
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
-
-namespace qda::library
-{
-class subcircuit_library;
-}
 
 namespace qda
 {
+
+class qcircuit;
 
 /*! \brief How one multiple-controlled Toffoli is realized. */
 enum class mct_strategy : uint8_t
@@ -119,31 +120,34 @@ struct mct_emit_options
   bool keep_toffoli = false; /*!< keep ccx opaque instead of 7-T expansion */
   mct_strategy strategy = mct_strategy::automatic;
   mapping_cost_weights weights{};
-  /*! Subcircuit library caching clean V-chain ladders per control
-   *  count: the canonical ladder is emitted once and replayed through
-   *  a wire remap on every later k-control gate.  Null disables. */
-  library::subcircuit_library* library = nullptr;
 };
 
-/*! \brief Emits one multi-controlled X (positive controls) as gates
- *         appended to `out`, drawing scratch qubits from `ancillas`.
+/*! \brief Appends one multi-controlled X (positive controls) to `out`,
+ *         drawing scratch qubits from `ancillas`.
  *
- *  A forced strategy falls back to the cheapest feasible one when its
- *  ancilla requirement cannot be met for this particular gate; throws
- *  std::invalid_argument when no strategy fits at all.
+ *  `out` is widened to `ancillas.num_wires()` when the gate acquires
+ *  clean helpers.  A forced strategy falls back to the cheapest
+ *  feasible one when its ancilla requirement cannot be met for this
+ *  particular gate; throws std::invalid_argument when no strategy fits
+ *  at all.
  */
-void emit_mct_gate( std::vector<qgate>& out, ancilla_manager& ancillas,
+void emit_mct_gate( qcircuit& out, ancilla_manager& ancillas,
                     std::span<const uint32_t> controls, uint32_t target,
                     const mct_emit_options& options );
 
 /* ---- Clifford+T primitives (shared with tests and peepholes) ---- */
 
-/*! \brief Appends the textbook 7-T Toffoli decomposition to `out`. */
-void emit_toffoli_clifford_t( std::vector<qgate>& out, uint32_t c0, uint32_t c1,
-                              uint32_t target );
+/*! \brief Appends the textbook 7-T Toffoli decomposition.  Throws
+ *         std::invalid_argument unless the three qubits are distinct
+ *         wires of `circuit`.
+ */
+void append_toffoli_clifford_t( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target );
 
-/*! \brief Appends Maslov's 4-T relative-phase Toffoli to `out`. */
-void emit_relative_phase_toffoli( std::vector<qgate>& out, uint32_t c0, uint32_t c1,
-                                  uint32_t target );
+/*! \brief Appends Maslov's 4-T relative-phase Toffoli (or its adjoint,
+ *         which is the same cascade).  Operands are checked as for
+ *         `append_toffoli_clifford_t`.
+ */
+void append_relative_phase_toffoli( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target,
+                                    bool adjoint = false );
 
 } // namespace qda

@@ -402,6 +402,7 @@ void register_builtin_passes( pass_registry& registry )
         clifford_t_options options;
         options.use_relative_phase = !args.has_flag( "no-relative-phase" );
         options.keep_toffoli = args.has_flag( "keep-toffoli" );
+        options.cancel = ctx.cancel;
         if ( !args.has_flag( "no-library" ) )
         {
           options.library = ctx.library;

@@ -1,6 +1,7 @@
 #include "quantum/qcircuit.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <stdexcept>
 
@@ -334,77 +335,74 @@ void qcircuit::add_rotation( gate_kind kind, uint32_t qubit, double angle )
 
 circuit_statistics compute_statistics( const qcircuit& circuit )
 {
-  circuit_statistics stats;
-  stats.num_qubits = circuit.num_qubits();
-
+  /* reads the IR columns directly: this runs after every quantum pass
+   * and in `ps`, so it must not build a view or allocate per gate */
+  const auto& core = circuit.core();
+  const auto& cols = core.columns();
+  constexpr size_t num_kinds = static_cast<size_t>( gate_kind::global_phase ) + 1u;
+  std::array<uint64_t, num_kinds> per_kind{};
   std::vector<uint64_t> qubit_depth( circuit.num_qubits(), 0u );
   std::vector<uint64_t> qubit_t_depth( circuit.num_qubits(), 0u );
 
-  for ( const auto& gate : circuit.gates() )
+  const uint32_t num_slots = core.num_slots();
+  for ( uint32_t slot = 0u; slot < num_slots; ++slot )
   {
-    if ( gate.kind == gate_kind::barrier || gate.kind == gate_kind::global_phase )
+    const gate_kind kind = cols.kind[slot];
+    if ( !core.slot_alive( slot ) || kind == gate_kind::barrier ||
+         kind == gate_kind::global_phase )
     {
       continue;
     }
-    ++stats.num_gates;
-    if ( gate.kind == gate_kind::measure )
-    {
-      ++stats.num_measurements;
-    }
-    if ( gate.is_t_gate() )
-    {
-      ++stats.t_count;
-    }
-    if ( gate.kind == gate_kind::h )
-    {
-      ++stats.h_count;
-    }
-    if ( gate.kind == gate_kind::cx )
-    {
-      ++stats.cnot_count;
-    }
-    if ( gate.kind == gate_kind::cx || gate.kind == gate_kind::cz ||
-         gate.kind == gate_kind::swap )
-    {
-      ++stats.two_qubit_count;
-    }
-    if ( gate.is_clifford() )
-    {
-      ++stats.clifford_count;
-    }
+    ++per_kind[static_cast<size_t>( kind )];
 
-    /* operands are read straight off the view (controls, target,
-     * swap's target2): this runs after every quantum pass, so it must
-     * not allocate per gate */
-    const bool has_target2 = gate.kind == gate_kind::swap;
-    uint64_t level = std::max( qubit_depth[gate.target],
-                               has_target2 ? qubit_depth[gate.target2] : 0u );
-    uint64_t t_level = std::max( qubit_t_depth[gate.target],
-                                 has_target2 ? qubit_t_depth[gate.target2] : 0u );
-    for ( const auto qubit : gate.controls )
+    const uint32_t target = cols.target[slot];
+    const uint32_t target2 = cols.target2[slot];
+    const bool has_target2 = kind == gate_kind::swap;
+    const auto controls = cols.controls_of( slot );
+    uint64_t level = std::max( qubit_depth[target], has_target2 ? qubit_depth[target2] : 0u );
+    uint64_t t_level =
+        std::max( qubit_t_depth[target], has_target2 ? qubit_t_depth[target2] : 0u );
+    for ( const auto qubit : controls )
     {
       level = std::max( level, qubit_depth[qubit] );
       t_level = std::max( t_level, qubit_t_depth[qubit] );
     }
     ++level;
-    if ( gate.is_t_gate() )
+    if ( kind == gate_kind::t || kind == gate_kind::tdg )
     {
       ++t_level;
     }
-    qubit_depth[gate.target] = level;
-    qubit_t_depth[gate.target] = t_level;
+    qubit_depth[target] = level;
+    qubit_t_depth[target] = t_level;
     if ( has_target2 )
     {
-      qubit_depth[gate.target2] = level;
-      qubit_t_depth[gate.target2] = t_level;
+      qubit_depth[target2] = level;
+      qubit_t_depth[target2] = t_level;
     }
-    for ( const auto qubit : gate.controls )
+    for ( const auto qubit : controls )
     {
       qubit_depth[qubit] = level;
       qubit_t_depth[qubit] = t_level;
     }
   }
 
+  circuit_statistics stats;
+  stats.num_qubits = circuit.num_qubits();
+  const auto count = [&]( gate_kind kind ) { return per_kind[static_cast<size_t>( kind )]; };
+  for ( size_t kind = 0u; kind < num_kinds; ++kind )
+  {
+    stats.num_gates += per_kind[kind];
+    if ( qgate_view( static_cast<gate_kind>( kind ), {}, 0u, 0u, 0.0 ).is_clifford() )
+    {
+      stats.clifford_count += per_kind[kind];
+    }
+  }
+  stats.num_measurements = count( gate_kind::measure );
+  stats.t_count = count( gate_kind::t ) + count( gate_kind::tdg );
+  stats.h_count = count( gate_kind::h );
+  stats.cnot_count = count( gate_kind::cx );
+  stats.two_qubit_count =
+      count( gate_kind::cx ) + count( gate_kind::cz ) + count( gate_kind::swap );
   for ( uint32_t qubit = 0u; qubit < circuit.num_qubits(); ++qubit )
   {
     stats.depth = std::max( stats.depth, qubit_depth[qubit] );

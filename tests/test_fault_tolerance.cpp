@@ -11,6 +11,7 @@
 #include "fault/cancel.hpp"
 #include "fault/error.hpp"
 #include "fault/failpoint.hpp"
+#include "mapping/clifford_t.hpp"
 #include "pipeline/spec_parser.hpp"
 #include "server/compile_server.hpp"
 #include "simulator/unitary.hpp"
@@ -257,6 +258,47 @@ TEST( deadline_test, short_deadline_fails_a_slow_compile_fast )
   EXPECT_EQ( stats.deadline_exceeded, 1u );
   EXPECT_EQ( stats.failed, 0u );
   EXPECT_EQ( stats.compiled, 1u );
+}
+
+TEST( deadline_test, cancelled_token_stops_rptm_and_lowering_mid_pass )
+{
+  /* no timing involved: the token is cancelled before the call, so the
+   * first strided poll inside the emission loop must throw */
+  pass_manager manager( /*enable_cache=*/false );
+  run_plan front_end;
+  front_end.use_library = false;
+  const auto reversible =
+      manager.run( parse_pipeline( "revgen --hwb 10; tbs; revsimp" ), staged_ir{}, front_end )
+          .ir.reversible;
+  ASSERT_TRUE( reversible.has_value() );
+
+  cancel_source source;
+  source.request_cancel();
+  clifford_t_options options;
+  options.cancel = source.token();
+  const auto expect_cancelled = [&]( auto&& run ) {
+    try
+    {
+      run();
+      ADD_FAILURE() << "expected a cancelled error";
+    }
+    catch ( const qda_error& error )
+    {
+      EXPECT_EQ( error.code(), error_code::cancelled );
+    }
+  };
+  expect_cancelled( [&] { map_to_clifford_t( *reversible, options ); } );
+
+  qcircuit wide( 8u );
+  for ( uint32_t i = 0u; i < 200u; ++i )
+  {
+    wide.mcx( { i % 4u, 4u, 5u }, 6u + i % 2u );
+  }
+  expect_cancelled( [&] { lower_multi_controlled_gates( wide, options ); } );
+
+  /* the same inputs map fine without the cancel */
+  EXPECT_GT( map_to_clifford_t( *reversible ).circuit.num_gates(), 0u );
+  EXPECT_GT( lower_multi_controlled_gates( wide ).circuit.num_gates(), 0u );
 }
 
 TEST( deadline_test, deadline_interrupts_tpar_mid_pass )

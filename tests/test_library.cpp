@@ -3,17 +3,21 @@
 #include "library/subcircuit_library.hpp"
 #include "mapping/clifford_t.hpp"
 #include "phasepoly/phasepoly.hpp"
+#include "pipeline/pass_manager.hpp"
 #include "simulator/unitary.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <numbers>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h> /* ::truncate */
@@ -482,7 +486,7 @@ TEST( library_splice_test, zero_capacity_disables_storage )
 }
 
 /* ---------------------------------------------------------------- */
-/* rptm and MCT-ladder splicing                                     */
+/* rptm splicing                                                    */
 /* ---------------------------------------------------------------- */
 
 TEST( library_splice_test, rptm_second_sighting_splices_mapped_circuit )
@@ -509,61 +513,120 @@ TEST( library_splice_test, rptm_second_sighting_splices_mapped_circuit )
   EXPECT_TRUE( circuits_equivalent( warm.circuit, cold.circuit, 1e-12 ) );
 }
 
-TEST( library_splice_test, rptm_splice_relabels_first_touch_equivalent_input )
+TEST( library_splice_test, rptm_relabeled_input_maps_fresh )
 {
-  /* the same MCT cascade shifted onto lines {1, 2, 3} of a wider
-   * circuit: first-touch order is preserved, so the second mapping
-   * must splice and relabel back */
-  rev_circuit narrow( 3u );
-  narrow.add_toffoli( 0u, 1u, 2u );
-  narrow.add_cnot( 0u, 2u );
+  /* rptm's output follows the line order, so an entry may only serve
+   * the exact input it was mapped from.  Each pair below spells the
+   * same under first-touch relabeling, yet a fresh mapping of the
+   * second circuit differs from the first one's relabeled output: */
+  std::vector<std::pair<rev_circuit, rev_circuit>> pairs;
 
-  rev_circuit wide( 4u );
-  wide.add_toffoli( 1u, 2u, 3u );
-  wide.add_cnot( 1u, 3u );
+  /* the same cascade shifted onto lines {1, 2, 3} of a wider circuit */
+  pairs.emplace_back( rev_circuit( 3u ), rev_circuit( 4u ) );
+  pairs.back().first.add_toffoli( 0u, 1u, 2u );
+  pairs.back().first.add_cnot( 0u, 2u );
+  pairs.back().second.add_toffoli( 1u, 2u, 3u );
+  pairs.back().second.add_cnot( 1u, 3u );
 
-  library::subcircuit_library lib{ eager_options() };
-  clifford_t_options options;
-  options.library = &lib;
+  /* lines 0 and 2 swapped: the Toffoli's controls come in the other
+   * order, and the 7-T network is not symmetric in them */
+  pairs.emplace_back( rev_circuit( 3u ), rev_circuit( 3u ) );
+  pairs.back().first.add_not( 2u );
+  pairs.back().first.add_toffoli( 0u, 2u, 1u );
+  pairs.back().second.add_not( 0u );
+  pairs.back().second.add_toffoli( 2u, 0u, 1u );
 
-  map_to_clifford_t( narrow, options );
-  const auto hits_before = lib.statistics().hits;
-  const auto spliced = map_to_clifford_t( wide, options );
-  EXPECT_GT( lib.statistics().hits, hits_before );
+  /* lines 1 and 3 swapped: the pending X flips of the negative
+   * controls are flushed in the other order */
+  pairs.emplace_back( rev_circuit( 4u ), rev_circuit( 4u ) );
+  pairs.back().first.add_gate( rev_gate::mct( {}, { 3u }, 0u ) );
+  pairs.back().first.add_gate( rev_gate::mct( {}, { 1u }, 0u ) );
+  pairs.back().second.add_gate( rev_gate::mct( {}, { 1u }, 0u ) );
+  pairs.back().second.add_gate( rev_gate::mct( {}, { 3u }, 0u ) );
 
-  const auto reference = map_to_clifford_t( wide );
-  EXPECT_EQ( spliced.circuit, reference.circuit );
-  EXPECT_EQ( spliced.num_helper_qubits, reference.num_helper_qubits );
+  for ( size_t i = 0u; i < pairs.size(); ++i )
+  {
+    const auto& [first, second] = pairs[i];
+    library::subcircuit_library lib{ eager_options() };
+    clifford_t_options options;
+    options.library = &lib;
+
+    map_to_clifford_t( first, options );
+    const auto hits_before = lib.statistics().hits;
+    const auto mapped = map_to_clifford_t( second, options );
+    EXPECT_EQ( lib.statistics().hits, hits_before ) << "pair=" << i;
+
+    const auto reference = map_to_clifford_t( second );
+    EXPECT_EQ( mapped.circuit, reference.circuit ) << "pair=" << i;
+    EXPECT_EQ( mapped.num_helper_qubits, reference.num_helper_qubits ) << "pair=" << i;
+  }
 }
 
-TEST( library_splice_test, mct_ladder_replay_matches_fresh_lowering )
+/*! The reversible circuit a front-end spec leaves for rptm. */
+rev_circuit reversible_of( const std::string& spec )
 {
-  qcircuit circuit( 6u );
-  circuit.mcx( { 0u, 1u, 2u, 3u, 4u }, 5u );
+  pass_manager manager( /*enable_cache=*/false );
+  run_plan plan;
+  plan.use_library = false;
+  auto result = manager.run( parse_pipeline( spec ), staged_ir{}, plan );
+  return std::move( *result.ir.reversible );
+}
+
+/*! `circuit` with line i renamed to `image[i]`. */
+rev_circuit relabeled( const rev_circuit& circuit, const std::vector<uint32_t>& image )
+{
+  rev_circuit result( circuit.num_lines() );
+  for ( const auto& gate : circuit.gates() )
+  {
+    rev_gate moved;
+    for ( uint32_t line = 0u; line < circuit.num_lines(); ++line )
+    {
+      const uint64_t bit = uint64_t{ 1 } << image[line];
+      moved.controls |= ( gate.controls >> line ) & 1u ? bit : 0u;
+      moved.polarity |= ( gate.polarity >> line ) & 1u ? bit : 0u;
+    }
+    moved.target = image[gate.target];
+    result.add_gate( moved );
+  }
+  return result;
+}
+
+TEST( library_splice_test, rptm_with_eager_library_emits_what_no_library_emits )
+{
+  /* three rounds through one eager library: the first admits every
+   * whole input, the later ones splice it back; every round must be
+   * gate for gate what rptm emits without a library */
+  std::vector<rev_circuit> inputs;
+  for ( uint32_t n = 4u; n <= 7u; ++n )
+  {
+    inputs.push_back( reversible_of( "revgen --hwb " + std::to_string( n ) + "; tbs; revsimp" ) );
+  }
+  for ( const uint32_t seed : { 1u, 2u, 3u } )
+  {
+    inputs.push_back( reversible_of( "revgen --random " + std::to_string( 4u + seed ) +
+                                     " --seed " + std::to_string( seed ) + "; tbs; revsimp" ) );
+  }
+  /* a relabeled repeat of the last random spec */
+  std::vector<uint32_t> image( inputs.back().num_lines() );
+  std::iota( image.begin(), image.end(), 0u );
+  std::shuffle( image.begin(), image.end(), std::mt19937_64( 9u ) );
+  inputs.push_back( relabeled( inputs.back(), image ) );
 
   library::subcircuit_library lib{ eager_options() };
-  clifford_t_options options;
-  options.strategy = mct_strategy::clean;
-  options.library = &lib;
-
-  const auto reference = lower_multi_controlled_gates( circuit );
-  const auto cold = lower_multi_controlled_gates( circuit, options );
-  EXPECT_GT( lib.statistics().entries, 0u );
-
-  /* replay goes through lookup_ladder even when the whole-input tier
-   * is bypassed: lower a differently-shaped circuit with the same
-   * control count */
-  qcircuit shifted( 7u );
-  shifted.h( 0u );
-  shifted.mcx( { 1u, 2u, 3u, 4u, 5u }, 6u );
-
-  const auto hits_before = lib.statistics().hits;
-  const auto warm = lower_multi_controlled_gates( shifted, options );
-  EXPECT_GT( lib.statistics().hits, hits_before );
-
-  const auto warm_reference = lower_multi_controlled_gates( shifted );
-  EXPECT_EQ( cold.circuit, reference.circuit );
-  EXPECT_EQ( warm.circuit, warm_reference.circuit );
+  clifford_t_options with_lib;
+  with_lib.library = &lib;
+  for ( uint32_t round = 0u; round < 3u; ++round )
+  {
+    for ( size_t i = 0u; i < inputs.size(); ++i )
+    {
+      const auto reference = map_to_clifford_t( inputs[i] );
+      const auto mapped = map_to_clifford_t( inputs[i], with_lib );
+      EXPECT_EQ( mapped.circuit, reference.circuit ) << "round=" << round << " input=" << i;
+      EXPECT_EQ( mapped.num_helper_qubits, reference.num_helper_qubits )
+          << "round=" << round << " input=" << i;
+    }
+  }
+  EXPECT_GT( lib.statistics().hits, 0u );
 }
 
 /* ---------------------------------------------------------------- */
@@ -647,10 +710,10 @@ TEST( library_persistence_test, corrupt_header_cold_starts_with_counter )
 TEST( library_persistence_test, version_mismatch_cold_starts_with_counter )
 {
   scoped_store_file store{ "qda_test_library_version.bin" };
-  /* a store written before the 16-bit circuit spellings (version 1):
-   * its keys and spellings no longer match, so it must not load */
+  /* a store written while MCT-ladder records existed (version 2): it
+   * may hold records of a kind that is gone, so it must not load */
   std::string bytes( "QDALIB1\n", 8u );
-  const uint32_t old_version = 1u;
+  const uint32_t old_version = 2u;
   bytes.append( reinterpret_cast<const char*>( &old_version ), sizeof( old_version ) );
   write_file( store.path, bytes );
 

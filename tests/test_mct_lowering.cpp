@@ -2,15 +2,19 @@
  *  naive multi-controlled X, cost-table pinning against emitted
  *  circuits, and ancilla-manager bookkeeping.
  */
+#include "core/bent.hpp"
+#include "core/hidden_shift.hpp"
 #include "mapping/ancilla.hpp"
 #include "mapping/clifford_t.hpp"
 #include "mapping/mct_lowering.hpp"
+#include "pipeline/pass_manager.hpp"
 #include "simulator/statevector.hpp"
 #include "simulator/unitary.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace qda
 {
@@ -409,6 +413,113 @@ TEST( negative_control_test, mixed_polarity_multi_gate_circuit )
   const auto mapped = map_to_clifford_t( source );
   EXPECT_TRUE( circuit_implements_permutation_with_helpers(
       mapped.circuit, 4u, source.to_permutation().images() ) );
+}
+
+/* ---------------------------------------------------------------- */
+/* output pins                                                      */
+/* ---------------------------------------------------------------- */
+
+/*! FNV-1a over every gate's kind, controls, target, target2 and angle
+ *  bits, in circuit order: any change to what the lowering emits (even
+ *  a reordering of equal counts) changes it. */
+uint64_t gate_sequence_hash( const qcircuit& circuit )
+{
+  uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&]( uint64_t value ) {
+    for ( uint32_t byte = 0u; byte < 8u; ++byte )
+    {
+      hash = ( hash ^ ( ( value >> ( 8u * byte ) ) & 0xffu ) ) * 1099511628211ull;
+    }
+  };
+  for ( const auto& gate : circuit.gates() )
+  {
+    mix( static_cast<uint64_t>( gate.kind ) );
+    mix( gate.controls.size() );
+    for ( const auto control : gate.controls )
+    {
+      mix( control );
+    }
+    mix( gate.target );
+    mix( gate.target2 );
+    uint64_t angle_bits;
+    std::memcpy( &angle_bits, &gate.angle, sizeof( angle_bits ) );
+    mix( angle_bits );
+  }
+  return hash;
+}
+
+struct pinned_output
+{
+  const char* what;
+  uint64_t t, cnot, gates, hash;
+  uint32_t helpers;
+};
+
+void expect_pinned( const clifford_t_result& result, const pinned_output& pin )
+{
+  const auto stats = compute_statistics( result.circuit );
+  EXPECT_EQ( stats.t_count, pin.t ) << pin.what;
+  EXPECT_EQ( stats.cnot_count, pin.cnot ) << pin.what;
+  EXPECT_EQ( result.circuit.num_gates(), pin.gates ) << pin.what;
+  EXPECT_EQ( gate_sequence_hash( result.circuit ), pin.hash ) << pin.what;
+  EXPECT_EQ( result.num_helper_qubits, pin.helpers ) << pin.what;
+}
+
+TEST( mct_output_pin_test, rptm_of_hwb_matches_the_pinned_sequence )
+{
+  /* every rptm variant the pass exposes, on tbs+revsimp hwb-5/6: a
+   * change to the emitted gate sequence must update these on purpose */
+  const pinned_output cases[] = {
+      { "revgen --hwb 5; tbs; revsimp; rptm",
+        579u, 477u, 1284u, 0x4ba8d28a72c577cdull, 2u },
+      { "revgen --hwb 5; tbs; revsimp; rptm --strategy clean",
+        579u, 477u, 1284u, 0x4ba8d28a72c577cdull, 2u },
+      { "revgen --hwb 5; tbs; revsimp; rptm --strategy dirty",
+        1017u, 879u, 2196u, 0xbc2712e05495450bull, 2u },
+      { "revgen --hwb 5; tbs; revsimp; rptm --strategy recursive",
+        1087u, 939u, 2346u, 0xa14cdadb61e772ebull, 2u },
+      { "revgen --hwb 5; tbs; revsimp; rptm --keep-toffoli",
+        0u, 9u, 126u, 0x35841d5cfe14d4a1ull, 2u },
+      { "revgen --hwb 5; tbs; revsimp; rptm --no-relative-phase",
+        777u, 675u, 1680u, 0x3acb342eab3088cdull, 2u },
+      { "revgen --hwb 5; tbs; revsimp; rptm --cost-target ibm_qx5",
+        579u, 477u, 1284u, 0x4ba8d28a72c577cdull, 2u },
+      { "revgen --hwb 6; tbs; revsimp; rptm",
+        2377u, 1903u, 5256u, 0x83240f3f0ed3880dull, 3u },
+      { "revgen --hwb 6; tbs; revsimp; rptm --strategy clean",
+        2377u, 1903u, 5256u, 0x83240f3f0ed3880dull, 3u },
+      { "revgen --hwb 6; tbs; revsimp; rptm --strategy dirty",
+        5029u, 4321u, 10794u, 0x58708ec6c48ab1caull, 3u },
+      { "revgen --hwb 6; tbs; revsimp; rptm --strategy recursive",
+        5939u, 5101u, 12744u, 0xc13c9b935051384aull, 3u },
+      { "revgen --hwb 6; tbs; revsimp; rptm --keep-toffoli",
+        0u, 13u, 502u, 0x34ba3ca493f4186eull, 3u },
+      { "revgen --hwb 6; tbs; revsimp; rptm --no-relative-phase",
+        3409u, 2935u, 7320u, 0x5c4ec693fe7ceaadull, 3u },
+      { "revgen --hwb 6; tbs; revsimp; rptm --cost-target ibm_qx5",
+        2377u, 1903u, 5256u, 0x83240f3f0ed3880dull, 3u } };
+  pass_manager manager( /*enable_cache=*/false );
+  for ( const auto& pin : cases )
+  {
+    run_plan plan;
+    plan.use_library = false;
+    const auto result = manager.run( parse_pipeline( pin.what ), staged_ir{}, plan );
+    ASSERT_TRUE( result.ir.quantum.has_value() ) << pin.what;
+    expect_pinned( *result.ir.quantum, pin );
+  }
+}
+
+TEST( mct_output_pin_test, lowering_of_hidden_shift_matches_the_pinned_sequence )
+{
+  /* the execute path: a seeded k = 5 Maiorana-McFarland hidden shift
+   * lowered with two spare qubits, as in the end-to-end benchmark */
+  const auto circuit =
+      hidden_shift_circuit_mm( mm_bent_function::random( 5u, 7u ), 0x2a5u );
+  clifford_t_options options;
+  options.max_qubits = circuit.num_qubits() + 2u;
+  const pinned_output pin{ "hidden shift k=5, 2 helpers", 2279u, 1860u, 5295u,
+                           0xeb99b1678ebaf7a7ull, 2u };
+  expect_pinned( lower_multi_controlled_gates( circuit, options ), pin );
 }
 
 } // namespace

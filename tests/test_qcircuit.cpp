@@ -164,6 +164,45 @@ TEST( qcircuit_test, statistics_walk_every_operand_kind )
   EXPECT_EQ( stats.num_measurements, 1u );
 }
 
+TEST( qcircuit_test, statistics_skip_erased_slots_before_compaction )
+{
+  /* tombstoned rows stay in the columns until the rewriter commits;
+   * statistics taken in between must see only the alive gates */
+  qcircuit circuit( 4u );
+  circuit.t( 0u );
+  circuit.cx( 0u, 1u );
+  circuit.swap_( 1u, 2u );
+  circuit.h( 2u );
+  circuit.mcx( { 0u, 1u, 2u }, 3u );
+  circuit.tdg( 3u );
+  circuit.measure( 3u );
+
+  qcircuit alive( 4u );
+  alive.t( 0u );
+  alive.h( 2u );
+  alive.mcx( { 0u, 1u, 2u }, 3u );
+  alive.measure( 3u );
+
+  auto rewriter = circuit.rewrite();
+  rewriter.erase_slot( 1u ); /* cx */
+  rewriter.erase_slot( 2u ); /* swap */
+  rewriter.erase_slot( 5u ); /* tdg */
+  ASSERT_EQ( circuit.core().num_tombstones(), 3u );
+
+  const auto stats = compute_statistics( circuit );
+  const auto expected = compute_statistics( alive );
+  EXPECT_EQ( stats.num_gates, 4u );
+  EXPECT_EQ( stats.num_gates, expected.num_gates );
+  EXPECT_EQ( stats.t_count, expected.t_count );
+  EXPECT_EQ( stats.t_depth, expected.t_depth );
+  EXPECT_EQ( stats.h_count, expected.h_count );
+  EXPECT_EQ( stats.cnot_count, expected.cnot_count );
+  EXPECT_EQ( stats.two_qubit_count, expected.two_qubit_count );
+  EXPECT_EQ( stats.clifford_count, expected.clifford_count );
+  EXPECT_EQ( stats.depth, expected.depth );
+  EXPECT_EQ( stats.num_measurements, expected.num_measurements );
+}
+
 TEST( qcircuit_test, t_depth_parallel_ts_count_once )
 {
   qcircuit circuit( 2u );
