@@ -179,26 +179,9 @@ void push_cx( circuit_core& out, uint32_t control, uint32_t target )
   out.emplace( gate_kind::cx, std::span<const uint32_t>( &control, 1u ), target, 0u, 0.0 );
 }
 
-void check_toffoli_operands( const qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target )
+/* standard 7-T decomposition (Nielsen-Chuang Fig. 4.9) */
+void toffoli_rows( circuit_core& out, uint32_t c0, uint32_t c1, uint32_t target )
 {
-  const uint32_t wires = circuit.num_qubits();
-  if ( c0 >= wires || c1 >= wires || target >= wires )
-  {
-    throw std::invalid_argument( "qcircuit: qubit index out of range" );
-  }
-  if ( c0 == c1 || c0 == target || c1 == target )
-  {
-    throw std::invalid_argument( "qcircuit::add_gate: repeated operand qubits" );
-  }
-}
-
-} // namespace
-
-void append_toffoli_clifford_t( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target )
-{
-  check_toffoli_operands( circuit, c0, c1, target );
-  /* standard 7-T decomposition (Nielsen-Chuang Fig. 4.9) */
-  auto& out = circuit.core();
   push1( out, gate_kind::h, target );
   push_cx( out, c1, target );
   push1( out, gate_kind::tdg, target );
@@ -216,14 +199,10 @@ void append_toffoli_clifford_t( qcircuit& circuit, uint32_t c0, uint32_t c1, uin
   push_cx( out, c0, c1 );
 }
 
-void append_relative_phase_toffoli( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target,
-                                    bool adjoint )
+/* Maslov [42]: RCCX with 4 T gates; a palindrome under inversion, so
+ * compute and uncompute emit the identical cascade. */
+void relative_phase_toffoli_rows( circuit_core& out, uint32_t c0, uint32_t c1, uint32_t target )
 {
-  /* Maslov [42]: RCCX with 4 T gates; a palindrome under inversion, so
-   * compute and uncompute emit the identical cascade. */
-  (void)adjoint;
-  check_toffoli_operands( circuit, c0, c1, target );
-  auto& out = circuit.core();
   push1( out, gate_kind::h, target );
   push1( out, gate_kind::t, target );
   push_cx( out, c1, target );
@@ -233,6 +212,31 @@ void append_relative_phase_toffoli( qcircuit& circuit, uint32_t c0, uint32_t c1,
   push_cx( out, c1, target );
   push1( out, gate_kind::tdg, target );
   push1( out, gate_kind::h, target );
+}
+
+/* the emitters below pass valid operands by construction; only the
+ * public appenders check theirs, as a Toffoli added to the circuit */
+void check_toffoli( const qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target )
+{
+  const uint32_t controls[2] = { c0, c1 };
+  circuit.check_operands(
+      qgate_view( gate_kind::mcx, std::span<const uint32_t>( controls ), target, 0u, 0.0 ) );
+}
+
+} // namespace
+
+void append_toffoli_clifford_t( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target )
+{
+  check_toffoli( circuit, c0, c1, target );
+  toffoli_rows( circuit.core(), c0, c1, target );
+}
+
+void append_relative_phase_toffoli( qcircuit& circuit, uint32_t c0, uint32_t c1, uint32_t target,
+                                    bool adjoint )
+{
+  (void)adjoint; /* the cascade is its own adjoint */
+  check_toffoli( circuit, c0, c1, target );
+  relative_phase_toffoli_rows( circuit.core(), c0, c1, target );
 }
 
 /* ---------------------------------------------------------------- */
@@ -257,7 +261,7 @@ struct mct_emitter
     }
     else
     {
-      append_toffoli_clifford_t( out, c0, c1, target );
+      toffoli_rows( out.core(), c0, c1, target );
     }
   }
 
@@ -266,7 +270,7 @@ struct mct_emitter
   {
     if ( options.use_relative_phase && !options.keep_toffoli )
     {
-      append_relative_phase_toffoli( out, c0, c1, target );
+      relative_phase_toffoli_rows( out.core(), c0, c1, target );
     }
     else
     {

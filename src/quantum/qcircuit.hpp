@@ -117,11 +117,17 @@ public:
    */
   rewriter rewrite() { return core_.rewrite(); }
 
+  /*! \brief The operand check of `add_gate`: throws
+   *         std::invalid_argument unless every operand is a wire of
+   *         this circuit and no wire repeats.  For code that appends
+   *         rows through `core()` directly.
+   */
+  void check_operands( const qgate_view& gate ) const;
+
 private:
   void add_simple( gate_kind kind, uint32_t qubit );
   void add_rotation( gate_kind kind, uint32_t qubit, double angle );
   void check_qubit( uint32_t qubit ) const;
-  void check_operands( const qgate_view& gate ) const;
 
   core_type core_;
 };

@@ -46,6 +46,16 @@ TEST( clifford_t_test, rccx_is_involution )
   EXPECT_TRUE( circuits_equivalent( twice, qcircuit( 3u ) ) );
 }
 
+TEST( clifford_t_test, toffoli_appenders_reject_bad_operands_before_appending )
+{
+  qcircuit circuit( 3u );
+  EXPECT_THROW( append_toffoli_clifford_t( circuit, 0u, 1u, 3u ), std::invalid_argument );
+  EXPECT_THROW( append_toffoli_clifford_t( circuit, 0u, 0u, 2u ), std::invalid_argument );
+  EXPECT_THROW( append_relative_phase_toffoli( circuit, 0u, 2u, 2u ), std::invalid_argument );
+  EXPECT_THROW( append_relative_phase_toffoli( circuit, 5u, 1u, 2u ), std::invalid_argument );
+  EXPECT_EQ( circuit.num_gates(), 0u );
+}
+
 TEST( clifford_t_test, simple_gates_map_directly )
 {
   rev_circuit circuit( 2u );
