@@ -7,10 +7,9 @@
  *  only passes that splice).  Four segments:
  *
  *   - baseline        : library disabled (`use_library = false`)
- *   - first sighting  : a fresh library; every shape misses, is
- *                       synthesized and fingerprinted, and only shapes
- *                       that already repeated inside the run (regions)
- *                       are admitted
+ *   - first sighting  : a fresh library; both whole-pass inputs miss,
+ *                       are fingerprinted and run, and nothing is
+ *                       admitted (a first sighting never is)
  *   - second sighting : the same library; the first repeat admits the
  *                       whole rptm and tpar inputs, later ones hit and
  *                       splice them, skipping synthesis
@@ -173,7 +172,7 @@ int main()
                second_speedup, second_vs_baseline );
   std::printf( "%-18s %-12.3f %10.2fx %10.2fx\n", "warm restart", restart_ms,
                restart_speedup, restart_vs_baseline );
-  std::printf( "  library: %s\n", format_library_report( after_second ).c_str() );
+  std::printf( "  %s\n", format_library_report( after_second ).c_str() );
   std::printf( "  restart loaded %llu entries from %s\n",
                static_cast<unsigned long long>( restarted_stats.loaded_entries ),
                store_path.c_str() );

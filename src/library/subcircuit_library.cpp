@@ -1,14 +1,12 @@
 #include "library/subcircuit_library.hpp"
 
 #include "fault/failpoint.hpp"
-#include "phasepoly/resynthesis.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 namespace qda::library
 {
@@ -17,11 +15,11 @@ namespace
 {
 
 constexpr char file_magic[8] = { 'Q', 'D', 'A', 'L', 'I', 'B', '1', '\n' };
-/* 2: 16-bit circuit spellings, word-wise keys; 3: no MCT-ladder records */
-constexpr uint32_t file_version = 3u;
+/* 2: 16-bit circuit spellings, word-wise keys; 3: no MCT-ladder records;
+ * 4: no region records, exact tpar keys, no cost fields */
+constexpr uint32_t file_version = 4u;
 constexpr uint32_t record_magic = 0x4c524543u;
 constexpr uint64_t max_payload_size = uint64_t{ 1 } << 30u;
-constexpr uint32_t invalid_wire = std::numeric_limits<uint32_t>::max();
 
 structural_key to_structural( const std::array<uint64_t, 2>& key ) noexcept
 {
@@ -109,8 +107,6 @@ std::string serialize_entry( const std::array<uint64_t, 2>& key, const library_e
   put_u32( payload, static_cast<uint32_t>( entry.kind ) );
   put_u32( payload, entry.num_wires );
   put_u32( payload, entry.aux );
-  put_f64( payload, entry.global_phase );
-  put_f64( payload, entry.cost_ms );
   put_u64( payload, entry.costs.gates_before );
   put_u64( payload, entry.costs.gates_after );
   put_u64( payload, entry.costs.t_after );
@@ -139,15 +135,14 @@ bool parse_entry( byte_reader& reader, std::array<uint64_t, 2>& key, library_ent
   key[0] = reader.u64();
   key[1] = reader.u64();
   const uint32_t kind = reader.u32();
-  if ( kind < 1u || kind > 3u )
+  if ( kind != static_cast<uint32_t>( entry_kind::tpar_circuit ) &&
+       kind != static_cast<uint32_t>( entry_kind::rptm_circuit ) )
   {
     return false;
   }
   entry.kind = static_cast<entry_kind>( kind );
   entry.num_wires = reader.u32();
   entry.aux = reader.u32();
-  entry.global_phase = reader.f64();
-  entry.cost_ms = reader.f64();
   entry.costs.gates_before = reader.u64();
   entry.costs.gates_after = reader.u64();
   entry.costs.t_after = reader.u64();
@@ -195,35 +190,24 @@ bool parse_entry( byte_reader& reader, std::array<uint64_t, 2>& key, library_ent
   return reader.ok;
 }
 
-/*! Remaps one stored gate's wires through `wire_of`; false when a
- *  label has no image (the splice is then abandoned, never wrong). */
-template<typename WireFn>
-bool remap_gate( qgate& gate, WireFn&& wire_of )
+/*! True when every wire of a stored gate is below `num_wires`.  The
+ *  key is the exact input, so stored wires are the output's; entries
+ *  may come from the store file, so their range is still checked. */
+bool wires_in_range( const qgate& gate, uint32_t num_wires )
 {
   if ( gate.kind == gate_kind::global_phase || gate.kind == gate_kind::barrier )
   {
     return true;
   }
-  for ( auto& control : gate.controls )
+  for ( const uint32_t control : gate.controls )
   {
-    control = wire_of( control );
-    if ( control == invalid_wire )
+    if ( control >= num_wires )
     {
       return false;
     }
   }
-  gate.target = wire_of( gate.target );
-  if ( gate.target == invalid_wire )
-  {
-    return false;
-  }
-  if ( gate.kind == gate_kind::swap )
-  {
-    gate.target2 = wire_of( gate.target2 );
-    return gate.target2 != invalid_wire;
-  }
-  gate.target2 = 0u;
-  return true;
+  return gate.target < num_wires &&
+         ( gate.kind != gate_kind::swap || gate.target2 < num_wires );
 }
 
 void count_after_costs( const std::vector<qgate>& gates, entry_costs& costs )
@@ -234,6 +218,25 @@ void count_after_costs( const std::vector<qgate>& gates, entry_costs& costs )
     costs.t_after += gate.is_t_gate() ? 1u : 0u;
     costs.cnot_after += gate.kind == gate_kind::cx ? 1u : 0u;
   }
+}
+
+/*! Copies an optimized circuit into a new entry keyed by `probe`. */
+library_entry make_entry( entry_kind kind, const phasepoly::splice_probe& probe,
+                          const qcircuit& out )
+{
+  library_entry entry;
+  entry.kind = kind;
+  entry.num_wires = out.num_qubits();
+  entry.verify = probe.bytes;
+  entry.costs.gates_before = probe.before[0];
+  entry.gates.reserve( out.num_gates() );
+  for ( const auto& view : out.gates() )
+  {
+    entry.gates.push_back( view.materialize() );
+  }
+  count_after_costs( entry.gates, entry.costs );
+  entry.costs.depth_after = compute_statistics( out ).depth;
+  return entry;
 }
 
 } // namespace
@@ -259,10 +262,6 @@ subcircuit_library& subcircuit_library::instance()
     if ( const char* capacity = std::getenv( "QDA_LIBRARY_CAPACITY" ) )
     {
       options.capacity = std::strtoull( capacity, nullptr, 10 );
-    }
-    if ( const char* admit = std::getenv( "QDA_LIBRARY_ADMIT_MS" ) )
-    {
-      options.admit_cost_ms = std::strtod( admit, nullptr );
     }
     return new subcircuit_library( std::move( options ) );
   }();
@@ -321,10 +320,9 @@ void subcircuit_library::admit( const std::array<uint64_t, 2>& key, library_entr
                    std::make_shared<const library_entry>( std::move( entry ) ) );
 }
 
-bool subcircuit_library::note_miss( const std::array<uint64_t, 2>& key, double cost_ms )
+bool subcircuit_library::note_miss( const std::array<uint64_t, 2>& key )
 {
-  profile_.observe( key[0], cost_ms );
-  if ( profile_.is_hot( key[0], options_.admit_cost_ms ) )
+  if ( profile_.observe( key[0] ) >= sighting_profile::admit_sighting )
   {
     return true;
   }
@@ -333,30 +331,15 @@ bool subcircuit_library::note_miss( const std::array<uint64_t, 2>& key, double c
   return false;
 }
 
-/* ---- tpar circuit tier ---- */
-
-bool subcircuit_library::splice_circuit( const qcircuit& in, std::string_view tag,
-                                         phasepoly::splice_probe& probe, qcircuit& out )
+/*! Rebuilds a stored entry as a circuit over `entry.num_wires`
+ *  qubits; false (counted) when a stored wire is out of range. */
+bool subcircuit_library::rebuild( const library_entry& entry, qcircuit& out )
 {
-  fingerprint_circuit( in, tag, probe );
-  auto entry = lookup( probe.key, entry_kind::tpar_circuit, probe.bytes );
-  if ( !entry || entry->num_wires != probe.wires.size() )
+  out = qcircuit( entry.num_wires );
+  out.core().reserve( entry.gates.size() );
+  for ( const auto& gate : entry.gates )
   {
-    return false;
-  }
-  QDA_TRACE_SPAN_NAMED( splice_span, "library.splice" );
-  splice_span.attr( "level", "tpar-circuit" );
-  splice_span.attr( "gates", static_cast<int64_t>( entry->gates.size() ) );
-  out = qcircuit( in.num_qubits() );
-  out.core().reserve( entry->gates.size() );
-  const auto wire_of = [&]( uint32_t local ) {
-    return local < probe.wires.size() ? probe.wires[local] : invalid_wire;
-  };
-  qgate gate; /* reused: copy-assignment keeps its control buffer */
-  for ( const auto& stored : entry->gates )
-  {
-    gate = stored;
-    if ( !remap_gate( gate, wire_of ) )
+    if ( !wires_in_range( gate, entry.num_wires ) )
     {
       unsplicable_.fetch_add( 1u, std::memory_order_relaxed );
       QDA_COUNT( "library.unsplicable" );
@@ -367,117 +350,30 @@ bool subcircuit_library::splice_circuit( const qcircuit& in, std::string_view ta
   return true;
 }
 
-void subcircuit_library::offer_circuit( const phasepoly::splice_probe& probe,
-                                        const qcircuit& out, double cost_ms )
+/* ---- tpar tier ---- */
+
+bool subcircuit_library::splice_circuit( const qcircuit& in, std::string_view tag,
+                                         phasepoly::splice_probe& probe, qcircuit& out )
 {
-  if ( !probe.valid || !note_miss( probe.key, cost_ms ) )
-  {
-    return;
-  }
-  library_entry entry;
-  entry.kind = entry_kind::tpar_circuit;
-  entry.num_wires = static_cast<uint32_t>( probe.wires.size() );
-  entry.verify = probe.bytes;
-  entry.cost_ms = cost_ms;
-  entry.costs.gates_before = probe.before[0];
-
-  std::vector<uint32_t> local_of;
-  for ( const uint32_t qubit : probe.wires )
-  {
-    if ( qubit >= local_of.size() )
-    {
-      local_of.resize( qubit + 1u, invalid_wire );
-    }
-  }
-  for ( uint32_t local = 0u; local < probe.wires.size(); ++local )
-  {
-    local_of[probe.wires[local]] = local;
-  }
-  const auto local = [&]( uint32_t qubit ) {
-    return qubit < local_of.size() ? local_of[qubit] : invalid_wire;
-  };
-  entry.gates.reserve( out.num_gates() );
-  for ( const auto& view : out.gates() )
-  {
-    qgate gate = view.materialize();
-    if ( !remap_gate( gate, local ) )
-    {
-      unsplicable_.fetch_add( 1u, std::memory_order_relaxed );
-      QDA_COUNT( "library.unsplicable" );
-      return;
-    }
-    entry.gates.push_back( std::move( gate ) );
-  }
-  count_after_costs( entry.gates, entry.costs );
-  entry.costs.depth_after = compute_statistics( out ).depth;
-  admit( probe.key, std::move( entry ) );
-}
-
-/* ---- region tier ---- */
-
-bool subcircuit_library::lookup_region( const phasepoly::phase_polynomial& poly,
-                                        std::string_view tag,
-                                        phasepoly::splice_probe& probe,
-                                        phasepoly::parity_network& out )
-{
-  fingerprint_phase_polynomial( poly, tag, probe );
-  auto entry = lookup( probe.key, entry_kind::region, probe.bytes );
-  if ( !entry || entry->num_wires != probe.wires.size() )
+  fingerprint_circuit( in, tag, probe );
+  auto entry = lookup( probe.key, entry_kind::tpar_circuit, probe.bytes );
+  if ( !entry || entry->num_wires != in.num_qubits() )
   {
     return false;
   }
   QDA_TRACE_SPAN_NAMED( splice_span, "library.splice" );
-  splice_span.attr( "level", "region" );
-  out.gates.clear();
-  out.global_phase = entry->global_phase;
-  const auto wire_of = [&]( uint32_t canonical ) {
-    return canonical < probe.wires.size() ? probe.wires[canonical] : invalid_wire;
-  };
-  out.gates.reserve( entry->gates.size() );
-  for ( auto gate : entry->gates )
-  {
-    if ( !remap_gate( gate, wire_of ) )
-    {
-      unsplicable_.fetch_add( 1u, std::memory_order_relaxed );
-      QDA_COUNT( "library.unsplicable" );
-      return false;
-    }
-    out.gates.push_back( std::move( gate ) );
-  }
-  return true;
+  splice_span.attr( "level", "tpar-circuit" );
+  splice_span.attr( "gates", static_cast<int64_t>( entry->gates.size() ) );
+  return rebuild( *entry, out );
 }
 
-void subcircuit_library::offer_region( const phasepoly::splice_probe& probe,
-                                       const phasepoly::parity_network& network,
-                                       double cost_ms )
+void subcircuit_library::offer_circuit( const phasepoly::splice_probe& probe,
+                                        const qcircuit& out )
 {
-  if ( !probe.valid || !note_miss( probe.key, cost_ms ) )
+  if ( probe.valid && note_miss( probe.key ) )
   {
-    return;
+    admit( probe.key, make_entry( entry_kind::tpar_circuit, probe, out ) );
   }
-  library_entry entry;
-  entry.kind = entry_kind::region;
-  entry.num_wires = static_cast<uint32_t>( probe.wires.size() );
-  entry.verify = probe.bytes;
-  entry.global_phase = network.global_phase;
-  entry.cost_ms = cost_ms;
-  entry.costs.gates_before = probe.before[0];
-  const auto canonical_of = [&]( uint32_t local ) {
-    return local < probe.perm.size() ? probe.perm[local] : invalid_wire;
-  };
-  entry.gates.reserve( network.gates.size() );
-  for ( auto gate : network.gates )
-  {
-    if ( !remap_gate( gate, canonical_of ) )
-    {
-      unsplicable_.fetch_add( 1u, std::memory_order_relaxed );
-      QDA_COUNT( "library.unsplicable" );
-      return;
-    }
-    entry.gates.push_back( std::move( gate ) );
-  }
-  count_after_costs( entry.gates, entry.costs );
-  admit( probe.key, std::move( entry ) );
 }
 
 /* ---- rptm tier ---- */
@@ -496,51 +392,23 @@ bool subcircuit_library::splice_rev_mapping( const rev_circuit& in, std::string_
   QDA_TRACE_SPAN_NAMED( splice_span, "library.splice" );
   splice_span.attr( "level", "rptm-circuit" );
   splice_span.attr( "gates", static_cast<int64_t>( entry->gates.size() ) );
-  /* the key is the exact input, so the stored wires are the output's;
-   * only their range is checked (entries may come from the store) */
-  out = qcircuit( entry->num_wires );
-  out.core().reserve( entry->gates.size() );
-  const auto in_range = [&]( uint32_t wire ) {
-    return wire < entry->num_wires ? wire : invalid_wire;
-  };
-  qgate gate; /* reused: copy-assignment keeps its control buffer */
-  for ( const auto& stored : entry->gates )
+  if ( !rebuild( *entry, out ) )
   {
-    gate = stored;
-    if ( !remap_gate( gate, in_range ) )
-    {
-      unsplicable_.fetch_add( 1u, std::memory_order_relaxed );
-      QDA_COUNT( "library.unsplicable" );
-      return false;
-    }
-    out.add_gate( gate );
+    return false;
   }
   num_helpers = entry->aux;
   return true;
 }
 
 void subcircuit_library::offer_rev_mapping( const phasepoly::splice_probe& probe,
-                                            const qcircuit& mapped, uint32_t num_lines,
-                                            uint32_t num_helpers, double cost_ms )
+                                            const qcircuit& mapped, uint32_t num_helpers )
 {
-  if ( !probe.valid || !note_miss( probe.key, cost_ms ) )
+  if ( !probe.valid || !note_miss( probe.key ) )
   {
     return;
   }
-  library_entry entry;
-  entry.kind = entry_kind::rptm_circuit;
-  entry.num_wires = num_lines + num_helpers;
+  auto entry = make_entry( entry_kind::rptm_circuit, probe, mapped );
   entry.aux = num_helpers;
-  entry.verify = probe.bytes;
-  entry.cost_ms = cost_ms;
-  entry.costs.gates_before = probe.before[0];
-  entry.gates.reserve( mapped.num_gates() );
-  for ( const auto& view : mapped.gates() )
-  {
-    entry.gates.push_back( view.materialize() );
-  }
-  count_after_costs( entry.gates, entry.costs );
-  entry.costs.depth_after = compute_statistics( mapped ).depth;
   admit( probe.key, std::move( entry ) );
 }
 

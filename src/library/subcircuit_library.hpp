@@ -1,14 +1,15 @@
 /*! \file subcircuit_library.hpp
  *  \brief Persistent cross-compilation library of optimized subcircuits.
  *
- *  ROADMAP item 2: the middle tier between tpar's per-spelling memo
- *  (one circuit) and the compile server's whole-compilation result
- *  cache (one exact pipeline).  Recurring shapes -- whole rptm/tpar
- *  pass inputs and phase-polynomial regions -- are fingerprinted
- *  canonically (library/fingerprint.hpp), admitted when the hotness
- *  profile says the amortized saving is worth it (library/profile.hpp),
- *  and spliced back on later sightings instead of re-running
- *  synthesis.  Storage is two-tier:
+ *  ROADMAP item 2: the middle tier between tpar's per-call memo (one
+ *  circuit) and the compile server's whole-compilation result cache
+ *  (one exact pipeline).  Recurring whole rptm and tpar pass inputs
+ *  are keyed on their exact spelling (library/fingerprint.hpp),
+ *  admitted on their second sighting (library/profile.hpp), and
+ *  spliced back on later sightings instead of re-running the pass.
+ *  A splice is an exact replay of what a miss would emit, so a
+ *  compile's output never depends on what ran before it.  Storage is
+ *  two-tier:
  *
  *   - in-memory: `server::sharded_lru` keyed on the dual-seed
  *     fingerprint, shared by every pass manager in the process;
@@ -18,8 +19,8 @@
  *     corrupt or version-mismatched file cold-starts with a telemetry
  *     counter, and failpoint site `library.load` injects both.
  *
- *  Every hit is verified byte-exactly against the stored canonical
- *  spelling before splicing; the hash only buckets.
+ *  Every hit is verified byte-exactly against the stored spelling
+ *  before splicing; the hash only buckets.
  */
 #pragma once
 
@@ -45,9 +46,8 @@ namespace qda::library
 /*! \brief What one library entry replaces. */
 enum class entry_kind : uint32_t
 {
-  region = 1u,       /*!< one phase-polynomial region (canonical labels) */
-  tpar_circuit = 2u, /*!< a whole tpar input (first-touch labels) */
-  rptm_circuit = 3u  /*!< a whole rptm input (exact wires, helpers after the lines) */
+  tpar_circuit = 2u, /*!< a whole tpar input */
+  rptm_circuit = 3u  /*!< a whole rptm input (helpers after the lines) */
 };
 
 /*! \brief Cost metadata of one entry (before -> after the stored form). */
@@ -60,17 +60,15 @@ struct entry_costs
   uint64_t depth_after = 0u;
 };
 
-/*! \brief One stored optimized form, gates over local labels. */
+/*! \brief One stored optimized form, gates over the output's wires. */
 struct library_entry
 {
-  entry_kind kind = entry_kind::region;
-  uint32_t num_wires = 0u; /*!< size of the local label space */
+  entry_kind kind = entry_kind::tpar_circuit;
+  uint32_t num_wires = 0u; /*!< qubits of the output circuit */
   uint32_t aux = 0u;       /*!< rptm: helper count */
-  std::string verify;      /*!< canonical spelling, compared on every hit */
+  std::string verify;      /*!< exact input spelling, compared on every hit */
   std::vector<qgate> gates;
-  double global_phase = 0.0; /*!< region networks only */
   entry_costs costs;
-  double cost_ms = 0.0; /*!< what synthesizing this form once cost */
 };
 
 /*! \brief Counter snapshot of one library. */
@@ -80,7 +78,7 @@ struct library_statistics
   uint64_t misses = 0u;
   uint64_t verify_mismatches = 0u; /*!< bucket hit, spelling differed */
   uint64_t admits = 0u;
-  uint64_t rejected_cold = 0u; /*!< offers below the hotness threshold */
+  uint64_t rejected_cold = 0u; /*!< first-sighting offers, not stored */
   uint64_t unsplicable = 0u;   /*!< offers/hits dropped defensively */
   uint64_t entries = 0u;
   uint64_t evictions = 0u;
@@ -96,13 +94,6 @@ struct library_options
 {
   size_t shards = 8u;
   size_t capacity = 4096u; /*!< in-memory entries; 0 disables storage */
-  /*! Admission threshold: the saving a shape's repeats have shown,
-   *  (sightings - 1) x mean synthesis cost, must reach this many
-   *  milliseconds before it is stored.  At the default a whole pass
-   *  input is admitted on its second sighting and spliced from its
-   *  third; trivial regions have to repeat more often.  0 admits every
-   *  shape on its first sighting. */
-  double admit_cost_ms = 0.05;
   std::string path; /*!< append-only store; empty = memory only */
 };
 
@@ -112,8 +103,8 @@ class subcircuit_library final : public phasepoly::splice_provider
 public:
   explicit subcircuit_library( library_options options = {} );
 
-  /*! \brief Process-wide library, configured from `QDA_LIBRARY_PATH`,
-   *         `QDA_LIBRARY_CAPACITY` and `QDA_LIBRARY_ADMIT_MS`.
+  /*! \brief Process-wide library, configured from `QDA_LIBRARY_PATH`
+   *         and `QDA_LIBRARY_CAPACITY`.
    */
   static subcircuit_library& instance();
 
@@ -130,21 +121,15 @@ public:
   void admit( const std::array<uint64_t, 2>& key, library_entry entry );
 
   /*! \brief Records a sighting of a missed shape and reports whether
-   *         its accumulated hotness now clears the admission bar.
+   *         it is now due for admission (its second sighting).
    */
-  bool note_miss( const std::array<uint64_t, 2>& key, double cost_ms );
+  bool note_miss( const std::array<uint64_t, 2>& key );
 
   /* ---- phasepoly::splice_provider ---- */
 
   bool splice_circuit( const qcircuit& in, std::string_view tag,
                        phasepoly::splice_probe& probe, qcircuit& out ) override;
-  void offer_circuit( const phasepoly::splice_probe& probe, const qcircuit& out,
-                      double cost_ms ) override;
-  bool lookup_region( const phasepoly::phase_polynomial& poly, std::string_view tag,
-                      phasepoly::splice_probe& probe,
-                      phasepoly::parity_network& out ) override;
-  void offer_region( const phasepoly::splice_probe& probe,
-                     const phasepoly::parity_network& network, double cost_ms ) override;
+  void offer_circuit( const phasepoly::splice_probe& probe, const qcircuit& out ) override;
 
   /* ---- mapping-level splices (rptm) ---- */
 
@@ -156,7 +141,7 @@ public:
                            phasepoly::splice_probe& probe, qcircuit& out,
                            uint32_t& num_helpers );
   void offer_rev_mapping( const phasepoly::splice_probe& probe, const qcircuit& mapped,
-                          uint32_t num_lines, uint32_t num_helpers, double cost_ms );
+                          uint32_t num_helpers );
 
   /* ---- persistence ---- */
 
@@ -173,7 +158,6 @@ public:
 
   /* ---- introspection ---- */
 
-  region_profile& profile() noexcept { return profile_; }
   library_statistics statistics() const;
   void clear(); /*!< memory tier + profile + counters; disk untouched */
 
@@ -182,10 +166,11 @@ private:
                                                       entry_kind kind,
                                                       std::string_view verify );
   void append_to_disk( const std::array<uint64_t, 2>& key, const library_entry& entry );
+  bool rebuild( const library_entry& entry, qcircuit& out );
 
   library_options options_;
   server::sharded_lru<library_entry> entries_;
-  region_profile profile_;
+  sighting_profile profile_;
   std::mutex file_mutex_;
 
   std::atomic<uint64_t> hits_{ 0u };

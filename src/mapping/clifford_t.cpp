@@ -4,7 +4,6 @@
 #include "library/subcircuit_library.hpp"
 #include "mapping/ancilla.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <span>
 #include <string>
@@ -91,8 +90,6 @@ clifford_t_result map_to_clifford_t( const rev_circuit& source, const clifford_t
       return { std::move( spliced ), num_helpers };
     }
   }
-  const auto started = std::chrono::steady_clock::now();
-
   ancilla_manager ancillas( num_lines, options.max_qubits );
   const auto emit_options = emit_options_of( options );
   qcircuit out( num_lines );
@@ -144,11 +141,7 @@ clifford_t_result map_to_clifford_t( const rev_circuit& source, const clifford_t
   clifford_t_result result{ std::move( out ), ancillas.num_helpers() };
   if ( options.library && probe.valid )
   {
-    const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - started )
-                                  .count();
-    options.library->offer_rev_mapping( probe, result.circuit, num_lines,
-                                        result.num_helper_qubits, elapsed_ms );
+    options.library->offer_rev_mapping( probe, result.circuit, result.num_helper_qubits );
   }
   return result;
 }

@@ -1,6 +1,5 @@
 #include "phasepoly/phasepoly.hpp"
 
-#include <chrono>
 #include <string>
 #include <utility>
 
@@ -9,7 +8,7 @@ namespace qda::phasepoly
 
 void tpar_in_place( qcircuit& circuit, const tpar_options& options )
 {
-  splice_provider* library = options.resynthesis.library;
+  splice_provider* library = options.library;
   splice_probe probe;
   if ( library )
   {
@@ -28,7 +27,6 @@ void tpar_in_place( qcircuit& circuit, const tpar_options& options )
     }
   }
 
-  const auto started = std::chrono::steady_clock::now();
   fold_phases_in_place( circuit );
   if ( options.resynthesize )
   {
@@ -36,10 +34,7 @@ void tpar_in_place( qcircuit& circuit, const tpar_options& options )
   }
   if ( library && probe.valid )
   {
-    const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - started )
-                                  .count();
-    library->offer_circuit( probe, circuit, elapsed_ms );
+    library->offer_circuit( probe, circuit );
   }
 }
 

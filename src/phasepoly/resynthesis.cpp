@@ -5,7 +5,6 @@
 #include "telemetry/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -237,12 +236,6 @@ void resynthesize_parity_regions_in_place( qcircuit& circuit,
   std::vector<uint8_t> seen( circuit.num_qubits(), 0u );
   std::string key;
   std::unordered_map<std::string, cached_network> patterns;
-  /* library entries synthesized under other PMH widths never alias */
-  std::string library_tag;
-  if ( options.library )
-  {
-    library_tag = "tpar-region|s" + std::to_string( options.section_size );
-  }
 
   uint32_t begin = 0u;
   cancel_checkpoint checkpoint( 256u );
@@ -327,25 +320,8 @@ void resynthesize_parity_regions_in_place( qcircuit& circuit,
         const auto poly = extract_phase_polynomial( circuit, begin, end, touched );
         if ( poly.terms.size() <= options.max_region_terms )
         {
-          parity_network network;
-          splice_probe probe;
-          const bool spliced =
-              options.library &&
-              options.library->lookup_region( poly, library_tag, probe, network );
-          if ( !spliced )
-          {
-            const auto started = std::chrono::steady_clock::now();
-            network =
-                synthesize_parity_network( poly, options.section_size, options.cancel );
-            if ( options.library && probe.valid )
-            {
-              const double elapsed_ms =
-                  std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - started )
-                      .count();
-              options.library->offer_region( probe, network, elapsed_ms );
-            }
-          }
+          auto network =
+              synthesize_parity_network( poly, options.section_size, options.cancel );
           if ( network.gates.size() < static_cast<size_t>( end - begin ) )
           {
             cached.gates = std::move( network.gates );

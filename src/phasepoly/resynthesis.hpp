@@ -16,7 +16,6 @@
 
 #include "fault/cancel.hpp"
 #include "phasepoly/phase_polynomial.hpp"
-#include "phasepoly/splice.hpp"
 #include "quantum/qcircuit.hpp"
 
 #include <cstdint>
@@ -30,11 +29,6 @@ struct resynthesis_options
   uint32_t section_size = 2u;       /*!< PMH epilogue block width */
   uint32_t max_region_terms = 512u; /*!< skip regions with more terms (greedy is O(T^2 n)) */
   cancel_token cancel;              /*!< polled between regions and parity placements */
-  /*! Cross-compilation subcircuit library; regions whose canonical
-   *  fingerprint hits splice the stored network instead of re-running
-   *  GraySynth.  Null disables the library tier (the per-spelling memo
-   *  still applies). */
-  splice_provider* library = nullptr;
 };
 
 /*! \brief A synthesized parity network over `poly.num_vars` wires. */
@@ -53,8 +47,10 @@ parity_network synthesize_parity_network( const phase_polynomial& poly,
 
 /*! \brief Carves maximal {CNOT, X, SWAP, phase} regions out of the
  *         circuit and replaces each with its resynthesized parity
- *         network when that network is strictly smaller.  Equivalent
- *         up to the explicitly appended global phase.
+ *         network when that network is strictly smaller.  Regions
+ *         spelled alike up to a wire remap are synthesized once per
+ *         call and replayed.  Equivalent up to the explicitly
+ *         appended global phase.
  */
 void resynthesize_parity_regions_in_place( qcircuit& circuit,
                                            const resynthesis_options& options = {} );

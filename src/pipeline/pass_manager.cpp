@@ -297,14 +297,6 @@ compilation_result pass_manager::run( const pipeline_spec& spec, staged_ir initi
       }
     }
 
-    /* TraceAtlas-style hotness feed: per-pass cost observed across
-     * compilations steers the library's admission profile */
-    if ( context.library && !result.reports.back().degraded )
-    {
-      context.library->profile().observe_pass( invocation.name,
-                                               result.reports.back().elapsed_ms );
-    }
-
     if ( plan.limits.max_gates != 0u &&
          result.ir.current_gate_count() > plan.limits.max_gates )
     {

@@ -447,7 +447,7 @@ void register_builtin_passes( pass_registry& registry )
         options.resynthesis.cancel = ctx.cancel;
         if ( !args.has_flag( "no-library" ) )
         {
-          options.resynthesis.library = ctx.library;
+          options.library = ctx.library;
         }
         ir.require_quantum();
         auto result = std::move( *ir.quantum );

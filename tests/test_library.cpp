@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <numbers>
 #include <numeric>
 #include <random>
 #include <string>
@@ -31,18 +30,10 @@ namespace
 /* helpers                                                          */
 /* ---------------------------------------------------------------- */
 
-/*! Library that admits every offered shape on first sighting. */
-library::library_options eager_options()
-{
-  library::library_options options;
-  options.admit_cost_ms = 0.0;
-  return options;
-}
-
 phasepoly::tpar_options with_library( library::subcircuit_library& lib )
 {
   phasepoly::tpar_options options;
-  options.resynthesis.library = &lib;
+  options.library = &lib;
   return options;
 }
 
@@ -122,8 +113,7 @@ qcircuit random_clifford_t_circuit( std::mt19937_64& rng, uint32_t num_qubits,
   return circuit;
 }
 
-/*! One large H-free phase-polynomial region: its tpar costs well over
- *  the default 0.05 ms admission threshold, and it holds no smaller
+/*! One large H-free phase-polynomial region: it holds no smaller
  *  region that could repeat inside a single pass. */
 qcircuit single_region_circuit()
 {
@@ -146,155 +136,43 @@ qcircuit single_region_circuit()
 }
 
 /* ---------------------------------------------------------------- */
-/* canonical fingerprints                                           */
+/* exact fingerprints                                               */
 /* ---------------------------------------------------------------- */
 
-/*! Relabels a phase polynomial's variables: `perm[v]` is the new label
- *  of variable `v`; wires (output rows) move with their variable.
- */
-phasepoly::phase_polynomial permuted( const phasepoly::phase_polynomial& poly,
-                                      const std::vector<uint32_t>& perm )
+TEST( library_fingerprint_test, circuit_fingerprint_keys_shifted_circuit_apart )
 {
-  const auto map_bits = [&]( const bitvec& bits ) {
-    bitvec out;
-    for ( uint32_t v = 0u; v < poly.num_vars; ++v )
-    {
-      if ( bits.test( v ) )
-      {
-        out.set( perm[v] );
-      }
-    }
-    return out;
-  };
-
-  phasepoly::phase_polynomial result;
-  result.num_vars = poly.num_vars;
-  result.global_phase = poly.global_phase;
-  for ( const auto& term : poly.terms )
-  {
-    result.terms.push_back( { map_bits( term.parity ), term.angle } );
-  }
-  result.output_linear.resize( poly.num_vars );
-  for ( uint32_t v = 0u; v < poly.num_vars; ++v )
-  {
-    result.output_linear[perm[v]] = map_bits( poly.output_linear[v] );
-    if ( poly.output_constants.test( v ) )
-    {
-      result.output_constants.set( perm[v] );
-    }
-  }
-  return result;
-}
-
-phasepoly::phase_polynomial sample_polynomial()
-{
-  constexpr double pi = std::numbers::pi;
-  phasepoly::phase_polynomial poly;
-  poly.num_vars = 3u;
-  poly.terms.push_back( { bitvec{ 0b011u }, pi / 4.0 } );
-  poly.terms.push_back( { bitvec{ 0b100u }, pi / 2.0 } );
-  poly.terms.push_back( { bitvec{ 0b101u }, -pi / 4.0 } );
-  poly.output_linear = { bitvec{ 0b011u }, bitvec{ 0b010u }, bitvec{ 0b100u } };
-  poly.output_constants.set( 1u );
-  return poly;
-}
-
-TEST( library_fingerprint_test, qubit_relabeled_polynomials_hash_equal )
-{
-  const auto poly = sample_polynomial();
-  const auto relabeled = permuted( poly, { 2u, 0u, 1u } );
-
-  phasepoly::splice_probe a;
-  phasepoly::splice_probe b;
-  library::fingerprint_phase_polynomial( poly, "tag", a );
-  library::fingerprint_phase_polynomial( relabeled, "tag", b );
-
-  ASSERT_TRUE( a.valid );
-  ASSERT_TRUE( b.valid );
-  EXPECT_EQ( a.key, b.key );
-  EXPECT_EQ( a.bytes, b.bytes );
-}
-
-TEST( library_fingerprint_test, commuting_reorder_hashes_equal )
-{
-  /* the T gates on distinct qubits commute: different spellings, same
-   * phase polynomial, same fingerprint */
-  qcircuit first( 2u );
-  first.t( 0u );
-  first.t( 1u );
-  first.cx( 0u, 1u );
-  first.t( 1u );
-
-  qcircuit second( 2u );
-  second.t( 1u );
-  second.t( 0u );
-  second.cx( 0u, 1u );
-  second.t( 1u );
-
-  const std::vector<uint32_t> qubits{ 0u, 1u };
-  const auto poly_a = phasepoly::extract_phase_polynomial(
-      first, 0u, static_cast<uint32_t>( first.num_gates() ), qubits );
-  const auto poly_b = phasepoly::extract_phase_polynomial(
-      second, 0u, static_cast<uint32_t>( second.num_gates() ), qubits );
-
-  phasepoly::splice_probe a;
-  phasepoly::splice_probe b;
-  library::fingerprint_phase_polynomial( poly_a, "tag", a );
-  library::fingerprint_phase_polynomial( poly_b, "tag", b );
-  EXPECT_EQ( a.key, b.key );
-  EXPECT_EQ( a.bytes, b.bytes );
-}
-
-TEST( library_fingerprint_test, near_miss_one_extra_t_hashes_distinct )
-{
-  const auto poly = sample_polynomial();
-  auto near_miss = poly;
-  near_miss.terms.push_back( { bitvec{ 0b010u }, std::numbers::pi / 4.0 } );
-
-  phasepoly::splice_probe a;
-  phasepoly::splice_probe b;
-  library::fingerprint_phase_polynomial( poly, "tag", a );
-  library::fingerprint_phase_polynomial( near_miss, "tag", b );
-  EXPECT_NE( a.bytes, b.bytes );
-  EXPECT_NE( a.key, b.key );
-}
-
-TEST( library_fingerprint_test, option_tag_separates_entries )
-{
-  const auto poly = sample_polynomial();
-  phasepoly::splice_probe a;
-  phasepoly::splice_probe b;
-  library::fingerprint_phase_polynomial( poly, "tpar-region|s4", a );
-  library::fingerprint_phase_polynomial( poly, "tpar-region|s6", b );
-  EXPECT_NE( a.key, b.key );
-}
-
-TEST( library_fingerprint_test, circuit_fingerprint_is_first_touch_canonical )
-{
-  qcircuit small( 2u );
+  qcircuit small( 3u );
   small.h( 0u );
   small.cx( 0u, 1u );
   small.t( 1u );
 
-  /* the same gates moved to qubits {1, 2} of a wider circuit: the
-   * first-touch relabeling erases the shift */
+  /* the same gates moved to qubits {1, 2}: tpar's output follows the
+   * wires, so the two must not share an entry */
   qcircuit shifted( 3u );
   shifted.h( 1u );
   shifted.cx( 1u, 2u );
   shifted.t( 2u );
 
+  /* and the same gates in a wider circuit */
+  qcircuit wider( 4u );
+  wider.h( 0u );
+  wider.cx( 0u, 1u );
+  wider.t( 1u );
+
   phasepoly::splice_probe a;
   phasepoly::splice_probe b;
+  phasepoly::splice_probe c;
   library::fingerprint_circuit( small, "tag", a );
   library::fingerprint_circuit( shifted, "tag", b );
-  EXPECT_EQ( a.key, b.key );
-  EXPECT_EQ( a.bytes, b.bytes );
-  EXPECT_EQ( a.wires, ( std::vector<uint32_t>{ 0u, 1u } ) );
-  EXPECT_EQ( b.wires, ( std::vector<uint32_t>{ 1u, 2u } ) );
+  library::fingerprint_circuit( wider, "tag", c );
+  EXPECT_NE( a.bytes, b.bytes );
+  EXPECT_NE( a.key, b.key );
+  EXPECT_NE( a.bytes, c.bytes );
+  EXPECT_NE( a.key, c.key );
 }
 
-/*! `num_qubits` wires, each first touched by an X in index order (so
- *  local label = qubit), then one CX from wire 0 onto `target`. */
+/*! `num_qubits` wires, each touched by an X in index order, then one
+ *  CX from wire 0 onto `target`. */
 qcircuit touch_all_then_cx( uint32_t num_qubits, uint32_t target )
 {
   qcircuit circuit( num_qubits );
@@ -308,7 +186,7 @@ qcircuit touch_all_then_cx( uint32_t num_qubits, uint32_t target )
 
 TEST( library_fingerprint_test, circuit_fingerprint_separates_wires_past_one_byte )
 {
-  /* labels 1 and 257 agree in their low byte */
+  /* wires 1 and 257 agree in their low byte */
   phasepoly::splice_probe a;
   phasepoly::splice_probe b;
   library::fingerprint_circuit( touch_all_then_cx( 300u, 1u ), "tag", a );
@@ -316,12 +194,11 @@ TEST( library_fingerprint_test, circuit_fingerprint_separates_wires_past_one_byt
   EXPECT_EQ( a.bytes.size(), b.bytes.size() );
   EXPECT_NE( a.bytes, b.bytes );
   EXPECT_NE( a.key, b.key );
-  EXPECT_EQ( a.wires, b.wires );
 }
 
 TEST( library_fingerprint_test, circuit_fingerprint_separates_wires_past_sixteen_bits )
 {
-  /* labels 1 and 65537 agree in their low 16 bits; circuits this wide
+  /* wires 1 and 65537 agree in their low 16 bits; circuits this wide
    * spell 32-bit ids */
   phasepoly::splice_probe a;
   phasepoly::splice_probe b;
@@ -330,8 +207,6 @@ TEST( library_fingerprint_test, circuit_fingerprint_separates_wires_past_sixteen
   EXPECT_EQ( a.bytes.size(), b.bytes.size() );
   EXPECT_NE( a.bytes, b.bytes );
   EXPECT_NE( a.key, b.key );
-  ASSERT_EQ( a.wires.size(), 65540u );
-  EXPECT_EQ( a.wires[65537], 65537u );
 }
 
 TEST( library_fingerprint_test, byte_hash_separates_padding_and_single_byte_edits )
@@ -357,9 +232,10 @@ TEST( library_fingerprint_test, byte_hash_separates_padding_and_single_byte_edit
 
 TEST( library_splice_test, second_sighting_splices_whole_tpar_input )
 {
-  library::subcircuit_library lib{ eager_options() };
+  library::subcircuit_library lib;
   const auto circuit = sample_circuit();
 
+  phasepoly::tpar( circuit, with_library( lib ) ); /* first sighting */
   const auto first = phasepoly::tpar( circuit, with_library( lib ) );
   const auto cold = lib.statistics();
   EXPECT_EQ( cold.hits, 0u );
@@ -373,40 +249,6 @@ TEST( library_splice_test, second_sighting_splices_whole_tpar_input )
   EXPECT_TRUE( circuits_equivalent( second, circuit, 1e-12 ) );
 }
 
-TEST( library_splice_test, region_hit_survives_different_surroundings )
-{
-  /* two circuits with different whole-input spellings sharing one
-   * region up to qubit relabeling: the region tier must hit */
-  qcircuit first( 3u );
-  first.h( 2u );
-  first.t( 0u );
-  first.cx( 0u, 1u );
-  first.t( 1u );
-  first.cx( 0u, 1u );
-  first.tdg( 0u );
-
-  qcircuit second( 3u );
-  second.h( 2u );
-  second.h( 2u ); /* changes the whole-circuit fingerprint without
-                   * joining the phase-poly region (h is not a region
-                   * kind, x would be) */
-  second.t( 1u );
-  second.cx( 1u, 0u );
-  second.t( 0u );
-  second.cx( 1u, 0u );
-  second.tdg( 1u );
-
-  library::subcircuit_library lib{ eager_options() };
-  const auto out_first = phasepoly::tpar( first, with_library( lib ) );
-  const auto cold = lib.statistics();
-  const auto out_second = phasepoly::tpar( second, with_library( lib ) );
-  const auto warm = lib.statistics();
-
-  EXPECT_GT( warm.hits, cold.hits );
-  EXPECT_TRUE( circuits_equivalent( out_first, first, 1e-12 ) );
-  EXPECT_TRUE( circuits_equivalent( out_second, second, 1e-12 ) );
-}
-
 TEST( library_splice_test, randomized_splices_match_resynthesis_exactly )
 {
   std::mt19937_64 rng( 77u );
@@ -414,31 +256,17 @@ TEST( library_splice_test, randomized_splices_match_resynthesis_exactly )
   {
     const auto circuit = random_clifford_t_circuit( rng, 4u, 50u );
 
-    library::subcircuit_library lib{ eager_options() };
+    library::subcircuit_library lib;
     const auto reference = phasepoly::tpar( circuit ); /* no library */
     const auto cold = phasepoly::tpar( circuit, with_library( lib ) );
+    const auto admitted = phasepoly::tpar( circuit, with_library( lib ) );
     const auto warm = phasepoly::tpar( circuit, with_library( lib ) );
 
     ASSERT_EQ( cold, reference ) << "trial=" << trial;
+    ASSERT_EQ( admitted, reference ) << "trial=" << trial;
     ASSERT_EQ( warm, reference ) << "trial=" << trial;
     ASSERT_TRUE( circuits_equivalent( warm, circuit, 1e-12 ) ) << "trial=" << trial;
   }
-}
-
-TEST( library_splice_test, admission_threshold_rejects_cold_shapes )
-{
-  library::library_options options;
-  options.admit_cost_ms = 1e9; /* nothing is ever hot enough */
-  library::subcircuit_library lib{ options };
-
-  const auto circuit = sample_circuit();
-  phasepoly::tpar( circuit, with_library( lib ) );
-  phasepoly::tpar( circuit, with_library( lib ) );
-
-  const auto stats = lib.statistics();
-  EXPECT_EQ( stats.hits, 0u );
-  EXPECT_EQ( stats.entries, 0u );
-  EXPECT_GT( stats.rejected_cold, 0u );
 }
 
 TEST( library_admission_test, default_threshold_admits_on_second_sighting )
@@ -447,7 +275,7 @@ TEST( library_admission_test, default_threshold_admits_on_second_sighting )
   const auto circuit = single_region_circuit();
   const auto reference = phasepoly::tpar( circuit ); /* no library */
 
-  /* a shape seen once has saved nothing: no admission, however costly */
+  /* a shape seen once has saved nothing: no admission */
   const auto first = phasepoly::tpar( circuit, with_library( lib ) );
   const auto after_first = lib.statistics();
   EXPECT_EQ( after_first.admits, 0u );
@@ -472,7 +300,6 @@ TEST( library_admission_test, default_threshold_admits_on_second_sighting )
 TEST( library_splice_test, zero_capacity_disables_storage )
 {
   library::library_options options;
-  options.admit_cost_ms = 0.0;
   options.capacity = 0u;
   library::subcircuit_library lib{ options };
 
@@ -497,11 +324,12 @@ TEST( library_splice_test, rptm_second_sighting_splices_mapped_circuit )
   source.add_not( 2u );
   source.add_toffoli( 1u, 2u, 0u );
 
-  library::subcircuit_library lib{ eager_options() };
+  library::subcircuit_library lib;
   clifford_t_options options;
   options.library = &lib;
 
   const auto reference = map_to_clifford_t( source ); /* no library */
+  map_to_clifford_t( source, options ); /* first sighting */
   const auto cold = map_to_clifford_t( source, options );
   const auto hits_after_cold = lib.statistics().hits;
   const auto warm = map_to_clifford_t( source, options );
@@ -547,11 +375,12 @@ TEST( library_splice_test, rptm_relabeled_input_maps_fresh )
   for ( size_t i = 0u; i < pairs.size(); ++i )
   {
     const auto& [first, second] = pairs[i];
-    library::subcircuit_library lib{ eager_options() };
+    library::subcircuit_library lib;
     clifford_t_options options;
     options.library = &lib;
 
     map_to_clifford_t( first, options );
+    map_to_clifford_t( first, options ); /* admitted on its second sighting */
     const auto hits_before = lib.statistics().hits;
     const auto mapped = map_to_clifford_t( second, options );
     EXPECT_EQ( lib.statistics().hits, hits_before ) << "pair=" << i;
@@ -591,11 +420,11 @@ rev_circuit relabeled( const rev_circuit& circuit, const std::vector<uint32_t>& 
   return result;
 }
 
-TEST( library_splice_test, rptm_with_eager_library_emits_what_no_library_emits )
+TEST( library_splice_test, rptm_with_library_emits_what_no_library_emits )
 {
-  /* three rounds through one eager library: the first admits every
-   * whole input, the later ones splice it back; every round must be
-   * gate for gate what rptm emits without a library */
+  /* three rounds through one library: the second admits every whole
+   * input, the third splices it back; every round must be gate for
+   * gate what rptm emits without a library */
   std::vector<rev_circuit> inputs;
   for ( uint32_t n = 4u; n <= 7u; ++n )
   {
@@ -612,7 +441,7 @@ TEST( library_splice_test, rptm_with_eager_library_emits_what_no_library_emits )
   std::shuffle( image.begin(), image.end(), std::mt19937_64( 9u ) );
   inputs.push_back( relabeled( inputs.back(), image ) );
 
-  library::subcircuit_library lib{ eager_options() };
+  library::subcircuit_library lib;
   clifford_t_options with_lib;
   with_lib.library = &lib;
   for ( uint32_t round = 0u; round < 3u; ++round )
@@ -630,6 +459,221 @@ TEST( library_splice_test, rptm_with_eager_library_emits_what_no_library_emits )
 }
 
 /* ---------------------------------------------------------------- */
+/* exactness: library on emits what library off emits              */
+/* ---------------------------------------------------------------- */
+
+/*! The final circuit a spec compiles to, with or without `lib`. */
+qcircuit compiled( const std::string& spec, library::subcircuit_library* lib )
+{
+  pass_manager manager( /*enable_cache=*/false );
+  run_plan plan;
+  plan.use_library = lib != nullptr;
+  plan.library = lib;
+  auto result = manager.run( parse_pipeline( spec ), staged_ir{}, plan );
+  return std::move( result.ir.quantum->circuit );
+}
+
+/*! `circuit` with qubit q renamed to `image[q]`. */
+qcircuit relabeled( const qcircuit& circuit, const std::vector<uint32_t>& image )
+{
+  qcircuit result( circuit.num_qubits() );
+  for ( const auto& view : circuit.gates() )
+  {
+    auto gate = view.materialize();
+    for ( auto& control : gate.controls )
+    {
+      control = image[control];
+    }
+    gate.target = image[gate.target];
+    if ( gate.kind == gate_kind::swap )
+    {
+      gate.target2 = image[gate.target2];
+    }
+    result.add_gate( gate );
+  }
+  return result;
+}
+
+/*! `circuit` with some adjacent gates on disjoint qubits swapped. */
+qcircuit commuting_reordered( const qcircuit& circuit, std::mt19937_64& rng )
+{
+  std::vector<qgate> gates;
+  for ( const auto& view : circuit.gates() )
+  {
+    gates.push_back( view.materialize() );
+  }
+  const auto qubits_of = []( const qgate& gate ) {
+    auto qubits = gate.controls;
+    qubits.push_back( gate.target );
+    if ( gate.kind == gate_kind::swap )
+    {
+      qubits.push_back( gate.target2 );
+    }
+    return qubits;
+  };
+  for ( size_t i = 0u; i + 1u < gates.size(); ++i )
+  {
+    const auto a = qubits_of( gates[i] );
+    const auto b = qubits_of( gates[i + 1u] );
+    const bool disjoint = std::none_of( a.begin(), a.end(), [&]( uint32_t q ) {
+      return std::find( b.begin(), b.end(), q ) != b.end();
+    } );
+    if ( disjoint && rng() % 2u == 0u )
+    {
+      std::swap( gates[i], gates[i + 1u] );
+      ++i;
+    }
+  }
+  qcircuit result( circuit.num_qubits() );
+  for ( const auto& gate : gates )
+  {
+    result.add_gate( gate );
+  }
+  return result;
+}
+
+TEST( library_exactness_test, tpar_with_library_emits_what_no_library_emits )
+{
+  /* three rounds through one default library: the first sighting is
+   * rejected, the second admits, the third splices; every round must
+   * be gate for gate what tpar emits without a library */
+  std::vector<qcircuit> inputs;
+  for ( uint32_t n = 4u; n <= 8u; ++n )
+  {
+    inputs.push_back( compiled( "revgen --hwb " + std::to_string( n ) + "; tbs; revsimp; rptm",
+                                nullptr ) );
+  }
+  std::mt19937_64 rng( 31u );
+  for ( uint32_t trial = 0u; trial < 4u; ++trial )
+  {
+    const auto circuit = random_clifford_t_circuit( rng, 5u, 60u );
+    std::vector<uint32_t> image( circuit.num_qubits() );
+    std::iota( image.begin(), image.end(), 0u );
+    std::shuffle( image.begin(), image.end(), rng );
+    inputs.push_back( circuit );
+    inputs.push_back( relabeled( circuit, image ) );
+    inputs.push_back( commuting_reordered( circuit, rng ) );
+  }
+
+  library::subcircuit_library lib;
+  for ( uint32_t round = 0u; round < 3u; ++round )
+  {
+    for ( size_t i = 0u; i < inputs.size(); ++i )
+    {
+      const auto reference = phasepoly::tpar( inputs[i] );
+      const auto optimized = phasepoly::tpar( inputs[i], with_library( lib ) );
+      ASSERT_EQ( optimized, reference ) << "round=" << round << " input=" << i;
+    }
+  }
+  EXPECT_GT( lib.statistics().hits, 0u );
+}
+
+/*! `walls` H gates on qubit 0, then `circuit`. */
+qcircuit after_h_walls( uint32_t walls, const qcircuit& circuit )
+{
+  qcircuit result( circuit.num_qubits() );
+  for ( uint32_t wall = 0u; wall < walls; ++wall )
+  {
+    result.h( 0u );
+  }
+  for ( const auto& view : circuit.gates() )
+  {
+    result.add_gate( view.materialize() );
+  }
+  return result;
+}
+
+TEST( library_exactness_test, commuting_reordered_region_optimizes_fresh )
+{
+  /* pairs of circuits whose phase-polynomial regions (after the H
+   * walls) differ only by commuting gate reorder: equal polynomials,
+   * different spellings.  A library keyed on the polynomial replays
+   * the first region's synthesized gate order into the second
+   * circuit, where tpar without a library emits another order.  The
+   * extra H wall keeps the whole inputs apart. */
+  std::vector<std::pair<qcircuit, qcircuit>> pairs;
+
+  /* s(1) moved across the commuting CXs: such a library emits s(3)
+   * before s(1) for the second circuit, tpar alone s(1) first */
+  qcircuit small_first( 4u );
+  small_first.s( 1u );
+  small_first.cx( 3u, 0u );
+  small_first.cx( 3u, 0u );
+  small_first.s( 3u );
+  qcircuit small_second( 4u );
+  small_second.cx( 3u, 0u );
+  small_second.s( 1u );
+  small_second.cx( 3u, 0u );
+  small_second.s( 3u );
+  pairs.emplace_back( after_h_walls( 1u, small_first ), after_h_walls( 2u, small_second ) );
+
+  /* a 600-gate region, costly enough to synthesize that any cost-based
+   * admission bar stores it on its second sighting */
+  std::mt19937_64 rng( 1u );
+  qcircuit region( 6u );
+  for ( uint32_t g = 0u; g < 600u; ++g )
+  {
+    const uint32_t q = rng() % 6u;
+    switch ( rng() % 4u )
+    {
+    case 0u: region.t( q ); break;
+    case 1u: region.tdg( q ); break;
+    case 2u: region.s( q ); break;
+    default: region.cx( q, ( q + 1u + rng() % 5u ) % 6u ); break;
+    }
+  }
+  pairs.emplace_back( after_h_walls( 1u, region ),
+                      after_h_walls( 2u, commuting_reordered( region, rng ) ) );
+
+  for ( size_t i = 0u; i < pairs.size(); ++i )
+  {
+    const auto& [first, second] = pairs[i];
+    library::subcircuit_library lib;
+    for ( uint32_t round = 0u; round < 3u; ++round )
+    {
+      phasepoly::tpar( first, with_library( lib ) );
+    }
+    const auto reference = phasepoly::tpar( second );
+    for ( uint32_t round = 0u; round < 3u; ++round )
+    {
+      EXPECT_EQ( phasepoly::tpar( second, with_library( lib ) ), reference )
+          << "pair=" << i << " round=" << round;
+    }
+  }
+}
+
+TEST( library_exactness_test, compile_cold_mix_with_library_emits_what_no_library_emits )
+{
+  /* the compile-cold request mix: every (width, tail) kind, three seeds,
+   * each spec compiled three times through one default library */
+  const std::vector<std::pair<uint32_t, std::string>> kinds = {
+      { 5u, "tbs; revsimp; rptm --cost-target ibm_qx5; tpar; route --device ibm_qx5; ps" },
+      { 5u, "tbs; revsimp; rptm; tpar; ps" },
+      { 6u, "tbs; revsimp; rptm; tpar; ps" },
+      { 6u, "dbs; revsimp; rptm; tpar; ps" },
+      { 7u, "tbs; revsimp; rptm; tpar; ps" },
+      { 7u, "dbs; revsimp; rptm; tpar; ps" },
+      { 7u, "tbs; revsimp; rptm; peephole; ps" },
+      { 8u, "tbs; revsimp; rptm; tpar; ps" },
+      { 8u, "tbs; revsimp; rptm; peephole; ps" } };
+  library::subcircuit_library lib;
+  for ( const uint32_t seed : { 1u, 2u, 1000003u } )
+  {
+    for ( const auto& [n, tail] : kinds )
+    {
+      const auto spec = "revgen --random " + std::to_string( n ) + " --seed " +
+                        std::to_string( seed ) + "; " + tail;
+      const auto reference = compiled( spec, nullptr );
+      for ( uint32_t round = 0u; round < 3u; ++round )
+      {
+        ASSERT_EQ( compiled( spec, &lib ), reference ) << spec << " round=" << round;
+      }
+    }
+  }
+  EXPECT_GT( lib.statistics().hits, 0u );
+}
+
+/* ---------------------------------------------------------------- */
 /* persistence                                                      */
 /* ---------------------------------------------------------------- */
 
@@ -638,12 +682,13 @@ TEST( library_persistence_test, warm_restart_reloads_admitted_entries )
   scoped_store_file store{ "qda_test_library_roundtrip.bin" };
   const auto circuit = sample_circuit();
 
-  auto options = eager_options();
+  library::library_options options;
   options.path = store.path;
   uint64_t admitted = 0u;
   qcircuit cold( 1u );
   {
     library::subcircuit_library writer{ options };
+    phasepoly::tpar( circuit, with_library( writer ) );
     cold = phasepoly::tpar( circuit, with_library( writer ) );
     admitted = writer.statistics().admits;
     ASSERT_GT( admitted, 0u );
@@ -691,7 +736,7 @@ TEST( library_persistence_test, corrupt_header_cold_starts_with_counter )
   scoped_store_file store{ "qda_test_library_corrupt.bin" };
   write_file( store.path, "this is not a library file at all" );
 
-  auto options = eager_options();
+  library::library_options options;
   options.path = store.path;
   library::subcircuit_library lib{ options };
 
@@ -702,22 +747,23 @@ TEST( library_persistence_test, corrupt_header_cold_starts_with_counter )
   /* the library must stay fully usable after a cold start */
   const auto circuit = sample_circuit();
   const auto first = phasepoly::tpar( circuit, with_library( lib ) );
-  const auto second = phasepoly::tpar( circuit, with_library( lib ) );
-  EXPECT_EQ( first, second );
+  phasepoly::tpar( circuit, with_library( lib ) );
+  const auto third = phasepoly::tpar( circuit, with_library( lib ) );
+  EXPECT_EQ( first, third );
   EXPECT_GT( lib.statistics().hits, 0u );
 }
 
 TEST( library_persistence_test, version_mismatch_cold_starts_with_counter )
 {
   scoped_store_file store{ "qda_test_library_version.bin" };
-  /* a store written while MCT-ladder records existed (version 2): it
-   * may hold records of a kind that is gone, so it must not load */
+  /* a store written while region records existed (version 3): it may
+   * hold records of a kind that is gone, so it must not load */
   std::string bytes( "QDALIB1\n", 8u );
-  const uint32_t old_version = 2u;
+  const uint32_t old_version = 3u;
   bytes.append( reinterpret_cast<const char*>( &old_version ), sizeof( old_version ) );
   write_file( store.path, bytes );
 
-  auto options = eager_options();
+  library::library_options options;
   options.path = store.path;
   library::subcircuit_library lib{ options };
 
@@ -731,14 +777,18 @@ TEST( library_persistence_test, truncated_tail_keeps_valid_prefix )
 {
   scoped_store_file store{ "qda_test_library_truncated.bin" };
 
-  auto options = eager_options();
+  library::library_options options;
   options.path = store.path;
   uint64_t admitted = 0u;
   {
     library::subcircuit_library writer{ options };
-    phasepoly::tpar( sample_circuit(), with_library( writer ) );
     std::mt19937_64 rng( 5u );
-    phasepoly::tpar( random_clifford_t_circuit( rng, 4u, 40u ), with_library( writer ) );
+    const auto random = random_clifford_t_circuit( rng, 4u, 40u );
+    for ( uint32_t sighting = 0u; sighting < 2u; ++sighting )
+    {
+      phasepoly::tpar( sample_circuit(), with_library( writer ) );
+      phasepoly::tpar( random, with_library( writer ) );
+    }
     admitted = writer.statistics().admits;
     ASSERT_GE( admitted, 2u );
   }
@@ -760,10 +810,11 @@ TEST( library_persistence_test, load_failpoint_cold_starts_without_crashing )
 {
   scoped_store_file store{ "qda_test_library_failpoint.bin" };
 
-  auto options = eager_options();
+  library::library_options options;
   options.path = store.path;
   {
     library::subcircuit_library writer{ options };
+    phasepoly::tpar( sample_circuit(), with_library( writer ) );
     phasepoly::tpar( sample_circuit(), with_library( writer ) );
     ASSERT_GT( writer.statistics().admits, 0u );
   }
@@ -803,7 +854,7 @@ TEST( library_concurrency_test, parallel_compilations_share_one_library )
     references.push_back( phasepoly::tpar( shapes.back() ) );
   }
 
-  library::subcircuit_library lib{ eager_options() };
+  library::subcircuit_library lib;
   std::atomic<uint32_t> mismatches{ 0u };
 
   std::vector<std::thread> workers;
