@@ -73,7 +73,9 @@ def collect_metrics(directory):
     sim = load(os.path.join(directory, "BENCH_sim.json"))
     if sim is not None:
         for row in section_rows(sim, "end_to_end"):
-            if row["name"] == "layered-20q":
+            if row["name"] in ("layered-20q", "hidden-shift-14q"):
+                # hidden-shift-14q: the lowered Fig. 7/8 circuit, the
+                # sparse-dense-block regime of execute-hidden-shift
                 metrics[f"sim.end_to_end.{row['name']}.speedup"] = row["speedup"]
             if row["name"] == "brickwork-20q":
                 metrics[f"sim.end_to_end.{row['name']}.speedup"] = row["speedup"]

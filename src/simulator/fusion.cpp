@@ -9,6 +9,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 
 namespace qda::sim
@@ -70,35 +71,60 @@ bool is_single_qubit_kind( gate_kind kind )
   }
 }
 
-/*! Applies `o` to a 2^k local state vector (used to build dense fused
- *  matrices column by column; qubit indices are already local). */
-void apply_local( const op& o, amplitude* state, uint64_t dim )
+/*! Left-multiplies the row-major `block` x `block` matrix by the op
+ *  `o` (qubit indices already local).  Each column is a local state the
+ *  op acts on, so the op's action on amplitude r becomes the same
+ *  action on row r, applied to the whole row at once. */
+void apply_to_rows( const op& o, amplitude* matrix, uint64_t block )
 {
-  switch ( o.kind )
+  const auto row = [&]( uint64_t r ) { return matrix + r * block; };
+  const uint64_t bit = uint64_t{ 1 } << o.qubit;
+  for ( uint64_t r = 0u; r < block; ++r )
   {
-  case op_kind::unitary_1q:
-    apply_1q( state, dim, o.qubit, o.m );
-    break;
-  case op_kind::diag_1q:
-    apply_1q_diag( state, dim, o.qubit, o.m[0], o.m[3] );
-    break;
-  case op_kind::antidiag_1q:
-    apply_1q_antidiag( state, dim, o.qubit, o.m[1], o.m[2] );
-    break;
-  case op_kind::phase_masked:
-    apply_phase_masked( state, dim, o.mask, o.m[0] );
-    break;
-  case op_kind::mcx:
-    apply_mcx( state, dim, o.mask, o.qubit );
-    break;
-  case op_kind::swap_2q:
-    apply_swap( state, dim, o.qubit, o.qubit2 );
-    break;
-  case op_kind::scalar:
-    apply_scalar( state, dim, o.m[0] );
-    break;
-  default:
-    throw std::logic_error( "sim::compile: op kind not valid inside a dense block" );
+    switch ( o.kind )
+    {
+    case op_kind::unitary_1q:
+    case op_kind::diag_1q:
+    case op_kind::antidiag_1q:
+      if ( ( r & bit ) == 0u )
+      {
+        amplitude* lo = row( r );
+        amplitude* hi = row( r | bit );
+        for ( uint64_t c = 0u; c < block; ++c )
+        {
+          const amplitude a0 = lo[c];
+          const amplitude a1 = hi[c];
+          lo[c] = o.m[0] * a0 + o.m[1] * a1;
+          hi[c] = o.m[2] * a0 + o.m[3] * a1;
+        }
+      }
+      break;
+    case op_kind::phase_masked:
+    case op_kind::scalar: /* mask 0: every row */
+      if ( ( r & o.mask ) == o.mask )
+      {
+        std::transform( row( r ), row( r ) + block, row( r ),
+                        [&]( amplitude a ) { return a * o.m[0]; } );
+      }
+      break;
+    case op_kind::mcx:
+      if ( ( r & o.mask ) == o.mask && ( r & bit ) == 0u )
+      {
+        std::swap_ranges( row( r ), row( r ) + block, row( r | bit ) );
+      }
+      break;
+    case op_kind::swap_2q:
+    {
+      const uint64_t other = uint64_t{ 1 } << o.qubit2;
+      if ( ( r & bit ) != 0u && ( r & other ) == 0u )
+      {
+        std::swap_ranges( row( r ), row( r ) + block, row( r ^ ( bit | other ) ) );
+      }
+      break;
+    }
+    default:
+      throw std::logic_error( "sim::compile: op kind not valid inside a dense block" );
+    }
   }
 }
 
@@ -115,8 +141,9 @@ public:
   compiler( uint32_t num_qubits, const compile_options& options )
       : options_( options ), pending_( num_qubits )
   {
-    /* the dense gather buffer and local matrices cap k at 10 */
-    options_.max_dense_fusion_qubits = std::min( options_.max_dense_fusion_qubits, 10u );
+    /* apply_fused_kq's block plan caps k */
+    options_.max_dense_fusion_qubits =
+        std::min( options_.max_dense_fusion_qubits, max_block_qubits );
     options_.max_diag_table_qubits = std::min( options_.max_diag_table_qubits, 24u );
     result_.num_qubits = num_qubits;
   }
@@ -408,7 +435,7 @@ private:
     if ( open_.size() > max_open_blocks )
     {
       flush_block( open_.front() );
-      open_.erase( open_.begin() );
+      open_.pop_front();
     }
   }
 
@@ -529,7 +556,7 @@ private:
       return;
     }
     /* compose the block into one dense 2^k x 2^k matrix: remap every op
-     * to local qubit indices, then apply it to each basis column */
+     * to local qubit indices, then apply it to the rows of the identity */
     std::vector<uint32_t> qubits;
     for ( uint32_t q = 0u; q < 64u; ++q )
     {
@@ -556,11 +583,10 @@ private:
       }
       return local;
     };
-    std::vector<std::vector<amplitude>> columns( block_dim );
-    for ( uint64_t c = 0u; c < block_dim; ++c )
+    std::vector<amplitude> matrix( block_dim * block_dim, amplitude{ 0.0 } );
+    for ( uint64_t r = 0u; r < block_dim; ++r )
     {
-      columns[c].assign( block_dim, amplitude{ 0.0 } );
-      columns[c][c] = 1.0;
+      matrix[r * block_dim + r] = 1.0;
     }
     for ( auto& o : blk.ops )
     {
@@ -589,31 +615,24 @@ private:
       default:
         throw std::logic_error( "sim::compile: op kind not valid inside a dense block" );
       }
-      for ( uint64_t c = 0u; c < block_dim; ++c )
-      {
-        apply_local( local, columns[c].data(), block_dim );
-      }
+      apply_to_rows( local, matrix.data(), block_dim );
     }
     QDA_COUNT( "sim.fusion.dense_blocks" );
     QDA_COUNT_N( "sim.fusion.dense_block_gates", blk.sources );
+    QDA_COUNT_N( "sim.fusion.dense_block_nonzeros",
+                 std::count_if( matrix.begin(), matrix.end(),
+                                []( amplitude a ) { return a != amplitude{ 0.0 }; } ) );
     op fused;
     fused.kind = op_kind::fused_kq;
     fused.source_gates = blk.sources;
     fused.table_qubits = std::move( qubits );
-    fused.table.resize( block_dim * block_dim );
-    for ( uint64_t r = 0u; r < block_dim; ++r )
-    {
-      for ( uint64_t c = 0u; c < block_dim; ++c )
-      {
-        fused.table[r * block_dim + c] = columns[c][r];
-      }
-    }
+    fused.table = std::move( matrix );
     result_.ops.push_back( std::move( fused ) );
   }
 
   compile_options options_;
   std::vector<pending_1q> pending_;
-  std::vector<block> open_;
+  std::deque<block> open_; /*!< creation order; front flushes first */
   program result_;
 };
 

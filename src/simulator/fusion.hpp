@@ -13,8 +13,9 @@
  *      phases) merge into a single phase table over their involved
  *      qubits, applied in one pass;
  *   3. non-diagonal ops whose combined support stays within
- *      `max_dense_fusion_qubits` merge into one dense 2^k x 2^k matrix
- *      applied as a single gather/matvec/scatter pass.
+ *      `max_dense_fusion_qubits` merge into one dense 2^k x 2^k matrix,
+ *      composed by applying each op to the rows of the identity, and
+ *      applied in one pass that skips the matrix's exact-zero terms.
  *
  *  Fused groups are kept open as long as newly arriving ops commute
  *  past them (disjoint support, or diagonal past diagonal), so e.g. a
@@ -44,7 +45,7 @@ enum class op_kind : uint8_t
   phase_masked, /*!< multiply m[0] where all `mask` bits set (Z/CZ/MCZ) */
   diag_table,   /*!< fused diagonal: phase table over `table_qubits` */
   fused_kq,     /*!< dense 2^k x 2^k matrix (`table`, row-major) over
-                 *   `table_qubits`: one gather/matvec/scatter pass */
+                 *   `table_qubits`: one pass over its nonzero terms */
   mcx,          /*!< X on `qubit` where all `mask` control bits set */
   swap_2q,      /*!< SWAP(qubit, qubit2) */
   scalar,       /*!< multiply every amplitude by m[0] (global phase) */
@@ -72,8 +73,11 @@ struct compile_options
   /*! \brief Cap on phase-table width: tables hold 2^k amplitudes. */
   uint32_t max_diag_table_qubits = 12u;
   /*! \brief Cap on dense-block width (0 disables dense fusion); small
-   *         by design: a 2^k x 2^k matvec costs 2^k multiplies per
-   *         amplitude, so wide blocks stop being memory-bound.
+   *         by design: a block costs one complex multiply-add per
+   *         nonzero matrix entry per group (up to 2^k per amplitude for
+   *         a dense block), so wide dense blocks stop being
+   *         memory-bound.  Blocks above 3 qubits run on the scalar
+   *         primitive (simd.hpp, max_register_block_qubits).
    */
   uint32_t max_dense_fusion_qubits = 3u;
   /*! \brief Cache-blocked tile scheduling (schedule.hpp): group ops

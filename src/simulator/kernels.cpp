@@ -300,84 +300,85 @@ void for_each_masked_run( uint64_t dim, uint64_t set_mask, uint64_t clear_mask, 
   } );
 }
 
-/*! Dense fused-block apply.  `cols` is the column-major transpose of
- *  the caller's row-major matrix, so the matvec primitive streams one
- *  contiguous column per input coefficient. */
-void fused_kq_groups( amplitude* state, uint64_t dim, uint64_t support, uint32_t k,
-                      const uint64_t* offsets, const amplitude* cols )
+/*! Packs the bits of `value` selected by `mask` into the low bits. */
+uint64_t compress_bits( uint64_t value, uint64_t mask )
 {
+  uint64_t packed = 0u;
+  for ( uint32_t j = 0u; mask != 0u; mask &= mask - 1u, ++j )
+  {
+    packed |= ( ( value >> std::countr_zero( mask ) ) & 1u ) << j;
+  }
+  return packed;
+}
+
+/*! Spreads the low bits of `value` over the bits of `mask`. */
+uint64_t deposit_bits( uint64_t value, uint64_t mask )
+{
+  uint64_t spread = 0u;
+  for ( ; mask != 0u && value != 0u; mask &= mask - 1u, value >>= 1u )
+  {
+    spread |= ( value & 1u ) * ( mask & ( ~mask + 1u ) );
+  }
+  return spread;
+}
+
+/*! Builds the term plan of a dense block for vectors of `lanes`
+ *  amplitudes (see block_plan).  Support qubits are ascending, so the
+ *  ones inside the lanes are the low local bits: local index =
+ *  (high pattern << in-lane count) | in-lane pattern. */
+void build_block_plan( block_plan& plan, uint64_t dim, std::span<const uint32_t> qubits,
+                       const amplitude* matrix, uint32_t lanes )
+{
+  const uint32_t k = static_cast<uint32_t>( qubits.size() );
+  uint64_t support = 0u;
+  for ( const auto q : qubits )
+  {
+    support |= uint64_t{ 1 } << q;
+  }
+  plan.k = k;
+  plan.matrix = matrix;
+  plan.lane_mask = static_cast<uint32_t>( support & ( lanes - 1u ) );
+  const uint32_t in_lane = static_cast<uint32_t>( std::popcount( plan.lane_mask ) );
+  plan.h = k - in_lane;
+  plan.bases = masked_range( dim, 0u, support | ( lanes - 1u ) );
+  const uint64_t high_support = support & ~uint64_t{ plan.lane_mask };
+  const uint64_t inputs = uint64_t{ 1 } << plan.h;
+  for ( uint64_t c = 0u; c < inputs; ++c )
+  {
+    plan.offsets[c] = deposit_bits( c, high_support );
+  }
+  if ( k > max_register_block_qubits )
+  {
+    return;
+  }
   const uint64_t block = uint64_t{ 1 } << k;
-  const simd_ops& ops = active_ops();
-  if ( support == block - 1u )
+  const uint64_t shifts = uint64_t{ 1 } << in_lane;
+  plan.nonzero = 0u;
+  uint64_t t = 0u;
+  for ( uint64_t c = 0u; c < inputs; ++c )
   {
-    /* support is the low k qubits: groups are contiguous in memory and
-     * the whole chunk goes to the batched primitive in one call */
-    parallel_for(
-        dim >> k,
-        [&]( uint64_t begin, uint64_t end ) {
-          ops.matvec_batch( state + ( begin << k ), cols, block, end - begin );
-        },
-        block );
-    return;
-  }
-  /* scattered support with long runs of group bases (support clear of
-   * the low bits): feed the strided amplitude streams to the primitive
-   * directly -- no staging copies.  Stream c is contiguous across the
-   * run because group bases within a run are consecutive.  The path
-   * choice depends only on (block, support), never on chunk bounds, so
-   * thread splits stay bit-identical. */
-  const uint64_t run = uint64_t{ 1 } << std::countr_zero( support );
-  if ( ( block == 4u || block == 8u ) && run >= 4u )
-  {
-    for_each_masked_run( dim, 0u, support, [&]( uint64_t start, uint64_t length ) {
-      amplitude* streams[8];
-      for ( uint64_t c = 0u; c < block; ++c )
-      {
-        streams[c] = state + start + offsets[c];
-      }
-      ops.block_streams( streams, block, length, cols );
-    } );
-    return;
-  }
-  /* short runs or wide blocks: stage a batch of groups contiguously,
-   * transform them in place with one primitive call, scatter back.
-   * Groups are batched ACROSS runs so the primitive call amortizes even
-   * when the support pins the low bits (runs of one or two groups). */
-  constexpr uint64_t staging_amps = uint64_t{ 1 } << 11u;
-  const uint64_t groups_per_batch = std::max<uint64_t>( staging_amps >> k, 1u );
-  const masked_range bases( dim, 0u, support );
-  parallel_for( bases.count, [&]( uint64_t begin, uint64_t end ) {
-    alignas( 64 ) amplitude staging[staging_amps];
-    uint64_t group_base[staging_amps >> 1u];
-    uint64_t index = bases.nth( begin );
-    uint64_t remaining = end - begin;
-    while ( remaining != 0u )
+    for ( uint64_t si = 0u; si < shifts; ++si )
     {
-      const uint64_t batch = std::min( groups_per_batch, remaining );
-      amplitude* dst = staging;
-      for ( uint64_t g = 0u; g < batch; ++g, dst += block )
+      const uint64_t shift = deposit_bits( si, plan.lane_mask );
+      for ( uint64_t r = 0u; r < inputs; ++r, ++t )
       {
-        group_base[g] = index;
-        const amplitude* src = state + index;
-        for ( uint64_t c = 0u; c < block; ++c )
+        double* term = plan.coef + t * 4u * lanes;
+        for ( uint64_t l = 0u; l < lanes; ++l )
         {
-          dst[c] = src[offsets[c]];
-        }
-        index = bases.next( index );
-      }
-      ops.matvec_batch( staging, cols, block, batch );
-      const amplitude* out = staging;
-      for ( uint64_t g = 0u; g < batch; ++g, out += block )
-      {
-        amplitude* dst_state = state + group_base[g];
-        for ( uint64_t r = 0u; r < block; ++r )
-        {
-          dst_state[offsets[r]] = out[r];
+          const uint64_t row = ( r << in_lane ) | compress_bits( l, plan.lane_mask );
+          const uint64_t col = ( c << in_lane ) | compress_bits( l ^ shift, plan.lane_mask );
+          const amplitude m = matrix[row * block + col];
+          term[2u * l] = term[2u * l + 1u] = m.real();
+          term[2u * lanes + 2u * l] = -m.imag();
+          term[2u * lanes + 2u * l + 1u] = m.imag();
+          if ( m != amplitude{ 0.0 } )
+          {
+            plan.nonzero |= uint64_t{ 1 } << t;
+          }
         }
       }
-      remaining -= batch;
     }
-  } );
+  }
 }
 
 } // namespace
@@ -597,40 +598,22 @@ void apply_fused_kq( amplitude* state, uint64_t dim, std::span<const uint32_t> q
                      std::span<const amplitude> matrix )
 {
   const uint32_t k = static_cast<uint32_t>( qubits.size() );
-  if ( k > 10u )
+  if ( k > max_block_qubits )
   {
-    /* the gather buffers hold at most 2^10 amplitudes */
     throw std::invalid_argument( "apply_fused_kq: dense blocks support at most 10 qubits" );
   }
-  const uint64_t block = uint64_t{ 1 } << k;
-  uint64_t support = 0u;
-  std::vector<uint64_t> offsets( block, 0u );
-  for ( uint32_t j = 0u; j < k; ++j )
-  {
-    support |= uint64_t{ 1 } << qubits[j];
-  }
-  for ( uint64_t local = 0u; local < block; ++local )
-  {
-    uint64_t offset = 0u;
-    for ( uint32_t j = 0u; j < k; ++j )
-    {
-      if ( ( local >> j ) & 1u )
-      {
-        offset |= uint64_t{ 1 } << qubits[j];
-      }
-    }
-    offsets[local] = offset;
-  }
-  /* transpose once per call: the matvec primitive wants column-major */
-  std::vector<amplitude> cols( block * block );
-  for ( uint64_t r = 0u; r < block; ++r )
-  {
-    for ( uint64_t c = 0u; c < block; ++c )
-    {
-      cols[c * block + r] = matrix[r * block + c];
-    }
-  }
-  fused_kq_groups( state, dim, support, k, offsets.data(), cols.data() );
+  /* the choice depends only on (k, dim), never on chunk bounds, so
+   * thread splits stay bit-identical */
+  const simd_ops& active = active_ops();
+  const simd_ops& ops = k <= max_register_block_qubits && dim >= active.lanes
+                            ? active
+                            : ops_for( isa_kind::scalar );
+  block_plan plan;
+  build_block_plan( plan, dim, qubits, matrix.data(), ops.lanes );
+  parallel_for(
+      plan.bases.count,
+      [&]( uint64_t begin, uint64_t end ) { ops.fused_block( state, plan, begin, end ); },
+      ( uint64_t{ 1 } << plan.h ) * ops.lanes );
 }
 
 double norm_sum( const amplitude* state, uint64_t dim )

@@ -21,9 +21,12 @@
  *
  *  The contiguous inner loops dispatch to the runtime-selected SIMD
  *  primitive table (simd.hpp: scalar / AVX2 / AVX-512, override with
- *  QDA_SIM_ISA); this file owns only the masked index iteration.
+ *  QDA_SIM_ISA); this file owns the masked index iteration, the thread
+ *  split, and the term plan of each dense fused block.
  */
 #pragma once
+
+#include "simulator/simd.hpp"
 
 #include <array>
 #include <complex>
@@ -63,50 +66,6 @@ void parallel_for( uint64_t n, const std::function<void( uint64_t, uint64_t )>& 
  *         order, so the result is bit-identical for any thread count.
  */
 double blocked_sum( uint64_t n, const std::function<double( uint64_t, uint64_t )>& block );
-
-/* ---- masked index iteration (bit-deposit) ---- */
-
-/*! \brief Random-access enumeration of the indices i in [0, dim) with
- *         (i & set_mask) == set_mask and (i & clear_mask) == 0.
- *         `nth` deposits a free-bit pattern (random access for chunk
- *         starts); `next` advances in O(1) with a masked carry.
- */
-struct masked_range
-{
-  uint64_t set_mask = 0u;
-  uint64_t free_mask = 0u; /*!< bits allowed to vary */
-  uint64_t count = 0u;     /*!< number of enumerated indices */
-
-  masked_range( uint64_t dim, uint64_t set, uint64_t clear )
-      : set_mask( set ), free_mask( ( dim - 1u ) & ~( set | clear ) )
-  {
-    count = dim >> __builtin_popcountll( set | clear );
-  }
-
-  /*! \brief The j-th enumerated index (deposit j into the free bits). */
-  uint64_t nth( uint64_t j ) const
-  {
-    uint64_t result = set_mask;
-    uint64_t free = free_mask;
-    while ( j != 0u && free != 0u )
-    {
-      const uint64_t low = free & ( ~free + 1u );
-      if ( j & 1u )
-      {
-        result |= low;
-      }
-      free &= free - 1u;
-      j >>= 1u;
-    }
-    return result;
-  }
-
-  /*! \brief The enumerated index following `index` (carry across fixed bits). */
-  uint64_t next( uint64_t index ) const
-  {
-    return ( ( ( index | ~free_mask ) + 1u ) & free_mask ) | set_mask;
-  }
-};
 
 /* ---- kernels ---- */
 
@@ -153,8 +112,13 @@ void apply_diag_table( amplitude* state, uint64_t dim, std::span<const uint32_t>
                        std::span<const amplitude> table );
 
 /*! \brief Dense fused-block kernel: applies the 2^k x 2^k `matrix`
- *         (row-major; qubits[j] = bit j of the local index) to every
- *         group of 2^k amplitudes sharing the non-support bits.
+ *         (row-major; qubits[j] = bit j of the local index, ascending)
+ *         to every group of 2^k amplitudes sharing the non-support bits.
+ *         One primitive call per thread chunk walks the block's bases
+ *         and applies only the matrix's nonzero terms (exact zeros are
+ *         skipped), so cost follows the nonzero count, not 4^k.  Blocks
+ *         up to `max_register_block_qubits` run on the active ISA;
+ *         wider ones (k <= `max_block_qubits`) on the scalar table.
  */
 void apply_fused_kq( amplitude* state, uint64_t dim, std::span<const uint32_t> qubits,
                      std::span<const amplitude> matrix );

@@ -1,5 +1,9 @@
 /*! \file simd.cpp
  *  \brief Portable scalar primitives and the runtime ISA dispatcher.
+ *
+ *  The scalar fused-block instance also serves every ISA for blocks
+ *  wider than max_register_block_qubits and for state vectors smaller
+ *  than one vector register.
  */
 #include "simulator/simd.hpp"
 
@@ -87,48 +91,102 @@ void swap_adjacent_scalar( amplitude* amp, uint64_t n_pairs )
   }
 }
 
-void matvec_batch_scalar( amplitude* amp, const amplitude* cols, uint64_t bs, uint64_t groups )
+/*! Blocks up to max_register_block_qubits: 2^H accumulators in
+ *  registers, coefficients read straight from the matrix (one lane, so
+ *  no lane shifts: term (c, r) is matrix[r][c]). */
+template<int H>
+void fused_block_small_scalar( amplitude* state, const block_plan& plan, uint64_t begin,
+                               uint64_t end )
 {
-  amplitude tmp[uint64_t{ 1 } << 10u];
-  for ( uint64_t g = 0u; g < groups; ++g )
+  constexpr int R = 1 << H;
+  uint64_t offsets[R];
+  for ( int c = 0; c < R; ++c )
   {
-    amplitude* out = amp + g * bs;
-    for ( uint64_t r = 0u; r < bs; ++r )
+    offsets[c] = plan.offsets[c];
+  }
+  uint64_t nonzero = plan.nonzero;
+  const amplitude* m = plan.matrix;
+  uint64_t base = plan.bases.nth( begin );
+  for ( uint64_t j = begin; j < end; ++j, base = plan.bases.next( base ) )
+  {
+    amplitude* b = state + base;
+    /* keeps the term mask in a register (see simd_avx512.cpp) */
+    asm( "" : "+r"( nonzero ) );
+    double re[R] = {};
+    double im[R] = {};
+    detail::static_for<R>( [&]( auto ci ) {
+      constexpr int c = decltype( ci )::value;
+      const double xr = b[offsets[c]].real();
+      const double xi = b[offsets[c]].imag();
+      detail::static_for<R>( [&]( auto ri ) {
+        constexpr int r = decltype( ri )::value;
+        if ( ( nonzero >> ( c * R + r ) ) & 1u )
+        {
+          const amplitude w = m[r * R + c];
+          re[r] += xr * w.real() - xi * w.imag();
+          im[r] += xr * w.imag() + xi * w.real();
+        }
+      } );
+    } );
+    detail::static_for<R>( [&]( auto ri ) {
+      constexpr int r = decltype( ri )::value;
+      b[offsets[r]] = { re[r], im[r] };
+    } );
+  }
+}
+
+/*! Wider blocks: gather the 2^k inputs, then one row at a time. */
+void fused_block_wide_scalar( amplitude* state, const block_plan& plan, uint64_t begin,
+                              uint64_t end )
+{
+  const uint64_t block = uint64_t{ 1 } << plan.k;
+  amplitude x[uint64_t{ 1 } << max_block_qubits];
+  uint64_t base = plan.bases.nth( begin );
+  for ( uint64_t j = begin; j < end; ++j, base = plan.bases.next( base ) )
+  {
+    amplitude* b = state + base;
+    for ( uint64_t c = 0u; c < block; ++c )
     {
-      tmp[r] = out[r];
-      out[r] = amplitude{ 0.0 };
+      x[c] = b[plan.offsets[c]];
     }
-    for ( uint64_t c = 0u; c < bs; ++c )
+    for ( uint64_t r = 0u; r < block; ++r )
     {
-      const amplitude w = tmp[c];
-      const amplitude* column = cols + c * bs;
-      for ( uint64_t r = 0u; r < bs; ++r )
+      const amplitude* row = plan.matrix + r * block;
+      double re = 0.0;
+      double im = 0.0;
+      for ( uint64_t c = 0u; c < block; ++c )
       {
-        out[r] += w * column[r];
+        if ( row[c] != amplitude{ 0.0 } )
+        {
+          re += x[c].real() * row[c].real() - x[c].imag() * row[c].imag();
+          im += x[c].real() * row[c].imag() + x[c].imag() * row[c].real();
+        }
       }
+      b[plan.offsets[r]] = { re, im };
     }
   }
 }
 
-void block_streams_scalar( amplitude* const* streams, uint64_t bs, uint64_t n,
-                           const amplitude* cols )
+void fused_block_scalar( amplitude* state, const block_plan& plan, uint64_t begin,
+                         uint64_t end )
 {
-  amplitude x[8];
-  for ( uint64_t j = 0u; j < n; ++j )
+  switch ( plan.k )
   {
-    for ( uint64_t c = 0u; c < bs; ++c )
-    {
-      x[c] = streams[c][j];
-    }
-    for ( uint64_t r = 0u; r < bs; ++r )
-    {
-      amplitude acc{ 0.0 };
-      for ( uint64_t c = 0u; c < bs; ++c )
-      {
-        acc += x[c] * cols[c * bs + r];
-      }
-      streams[r][j] = acc;
-    }
+  case 0u:
+    fused_block_small_scalar<0>( state, plan, begin, end );
+    break;
+  case 1u:
+    fused_block_small_scalar<1>( state, plan, begin, end );
+    break;
+  case 2u:
+    fused_block_small_scalar<2>( state, plan, begin, end );
+    break;
+  case 3u:
+    fused_block_small_scalar<3>( state, plan, begin, end );
+    break;
+  default:
+    fused_block_wide_scalar( state, plan, begin, end );
+    break;
   }
 }
 
@@ -159,9 +217,12 @@ void diag_table_scalar( amplitude* amp, uint64_t base, uint64_t n, const uint32_
 }
 
 const simd_ops scalar_table = {
-  isa_kind::scalar,        scale_scalar,        scale_pairs_scalar, pair_2x2_scalar,
-  pair_2x2_interleaved_scalar, pair_antidiag_scalar, swap_ranges_scalar, swap_adjacent_scalar,
-  matvec_batch_scalar,     block_streams_scalar, diag_table_scalar,
+  isa_kind::scalar,     1u,
+  scale_scalar,         scale_pairs_scalar,
+  pair_2x2_scalar,      pair_2x2_interleaved_scalar,
+  pair_antidiag_scalar, swap_ranges_scalar,
+  swap_adjacent_scalar, fused_block_scalar,
+  diag_table_scalar,
 };
 
 /* ---- dispatch ---- */

@@ -1,10 +1,10 @@
 /*! \file simd.hpp
  *  \brief Runtime-dispatched SIMD primitives for the statevector kernels.
  *
- *  The bottom layer of the simulation engine: a table of contiguous-
- *  range primitives (complex scale, amplitude-pair 2x2, antidiagonal,
- *  range swap, dense block matvec, fused diagonal table) with one
- *  implementation per instruction set:
+ *  The bottom layer of the simulation engine: a table of primitives
+ *  (complex scale, amplitude-pair 2x2, antidiagonal, range swap, fused
+ *  diagonal table over contiguous ranges, and the dense fused-block
+ *  apply) with one implementation per instruction set:
  *
  *   - scalar: portable C++, compiled with the baseline flags;
  *   - avx2:   256-bit paths (2 amplitudes per vector) using FMA with
@@ -27,6 +27,8 @@
 
 #include <complex>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 
 namespace qda::sim
 {
@@ -63,13 +65,106 @@ isa_kind active_isa() noexcept;
  */
 isa_kind set_isa( isa_kind isa ) noexcept;
 
-/*! \brief Per-ISA table of contiguous-range kernel primitives.  All
- *         ranges are dense in memory; the masked-run iteration above
- *         them lives in kernels.cpp and is ISA-independent.
+/*! \brief Random-access enumeration of the indices i in [0, dim) with
+ *         (i & set_mask) == set_mask and (i & clear_mask) == 0.
+ *         `nth` deposits a free-bit pattern (random access for chunk
+ *         starts); `next` advances in O(1) with a masked carry.
+ */
+struct masked_range
+{
+  uint64_t set_mask = 0u;
+  uint64_t free_mask = 0u; /*!< bits allowed to vary */
+  uint64_t count = 0u;     /*!< number of enumerated indices */
+
+  masked_range() = default;
+
+  masked_range( uint64_t dim, uint64_t set, uint64_t clear )
+      : set_mask( set ), free_mask( ( dim - 1u ) & ~( set | clear ) )
+  {
+    count = dim >> __builtin_popcountll( set | clear );
+  }
+
+  /*! \brief The j-th enumerated index (deposit j into the free bits). */
+  uint64_t nth( uint64_t j ) const
+  {
+    uint64_t result = set_mask;
+    uint64_t free = free_mask;
+    while ( j != 0u && free != 0u )
+    {
+      const uint64_t low = free & ( ~free + 1u );
+      if ( j & 1u )
+      {
+        result |= low;
+      }
+      free &= free - 1u;
+      j >>= 1u;
+    }
+    return result;
+  }
+
+  /*! \brief The enumerated index following `index` (carry across fixed bits). */
+  uint64_t next( uint64_t index ) const
+  {
+    return ( ( ( index | ~free_mask ) + 1u ) & free_mask ) | set_mask;
+  }
+};
+
+/*! \brief Widest dense block the fused-block apply accepts. */
+constexpr uint32_t max_block_qubits = 10u;
+
+/*! \brief Widest dense block a vector ISA keeps in registers; wider
+ *         blocks run through the scalar table's instance.
+ */
+constexpr uint32_t max_register_block_qubits = 3u;
+
+/*! \brief Term plan of one dense fused block for one vector width.
+ *
+ *  A pure function of (matrix, support, lane width), built once per op
+ *  and shared by every thread chunk.  A *base* is an index whose support
+ *  bits and lane bits (the low log2(lanes) bits) are all clear; at each
+ *  base the block owns the 2^h vectors of `lanes` amplitudes (the
+ *  simd_ops::lanes of the table the plan is built for) at
+ *  base + offsets[c], where c enumerates the h support qubits above the
+ *  lanes.  Support qubits inside a vector (`lane_mask`) are reached
+ *  through lane-permuted copies of each input: shift s (a subset of
+ *  `lane_mask`, enumerated by the deposit of 0 .. 2^popcount - 1)
+ *  swaps lane l with lane l ^ s.  Output vector r then accumulates, for
+ *  every (input c, shift s), the lane-wise product of that permuted
+ *  input with the coefficient vector of term (c, s, r).
+ *
+ *  Only terms whose coefficient vector has a nonzero lane are applied;
+ *  a term is skipped only when all its coefficients are exactly zero,
+ *  so no tolerance enters.  For k <= max_register_block_qubits the
+ *  term tables below are filled; wider blocks read `matrix` directly.
+ */
+struct block_plan
+{
+  uint32_t k = 0u;                   /*!< support size */
+  uint32_t h = 0u;                   /*!< support qubits above the lanes */
+  uint32_t lane_mask = 0u;           /*!< support bits inside a vector */
+  const amplitude* matrix = nullptr; /*!< row-major 2^k x 2^k */
+  masked_range bases;                /*!< the block's base indices */
+  uint64_t offsets[uint64_t{ 1 } << max_block_qubits]; /*!< per input vector */
+  /*! bit t is set when term t has a nonzero coefficient, with terms
+   *  numbered t = (c * 2^popcount(lane_mask) + s) * 2^h + r */
+  uint64_t nonzero = 0u;
+  /*! per term t, in that order: `lanes` coefficients as
+   *  2 * lanes doubles of duplicated real parts, then 2 * lanes doubles
+   *  of sign-alternated imaginary parts (-im, +im) -- the two operands
+   *  of the interleaved-complex FMA pair */
+  alignas( 64 ) double coef[( uint64_t{ 1 } << ( 2u * max_register_block_qubits ) ) * 16u];
+};
+
+/*! \brief Per-ISA table of kernel primitives.  The elementwise ones act
+ *         on dense ranges, with the masked-run iteration above them in
+ *         kernels.cpp; the fused-block apply walks its own bases.
  */
 struct simd_ops
 {
   isa_kind isa = isa_kind::scalar;
+
+  /*! Amplitudes per vector register (1, 2 or 4). */
+  uint32_t lanes = 1u;
 
   /*! amp[i] *= w for i in [0, n). */
   void ( *scale )( amplitude* amp, uint64_t n, amplitude w );
@@ -94,21 +189,12 @@ struct simd_ops
   /*! amp[2i] <-> amp[2i+1] (X runs with target bit 0). */
   void ( *swap_adjacent )( amplitude* amp, uint64_t n_pairs );
 
-  /*! In-place dense-block apply over `groups` consecutive blocks of
-   *  `bs` amplitudes:  amp[g*bs + r] = sum_c old[g*bs + c] * cols[c*bs + r]
-   *  with cols COLUMN-major (one block column contiguous); bs <= 1024.
-   *  Batched so the per-block dispatch cost amortizes and the vector
-   *  paths can keep the (tiny) matrix hot across blocks. */
-  void ( *matvec_batch )( amplitude* amp, const amplitude* cols, uint64_t bs, uint64_t groups );
-
-  /*! k-stream in-place dense-block apply: streams[c] points to the c-th
-   *  block member of `n` consecutive group bases (stream c = state +
-   *  base + offsets[c], contiguous in memory because group bases within
-   *  a run are consecutive).  out_r[j] = sum_c cols[c*bs + r] * in_c[j],
-   *  cols COLUMN-major as in matvec_batch; bs <= 8 only -- {4, 8} take
-   *  the vector path, other sizes fall back to a scalar sweep. */
-  void ( *block_streams )( amplitude* const* streams, uint64_t bs, uint64_t n,
-                           const amplitude* cols );
+  /*! Dense fused block over the bases [begin, end) of `plan.bases`, in
+   *  place; `plan` must be built for this table's `lanes`.  Each base
+   *  is computed with one fixed formula (nonzero terms in (c, s, r)
+   *  order), so any chunking of the bases is bit-identical. */
+  void ( *fused_block )( amplitude* state, const block_plan& plan, uint64_t begin,
+                         uint64_t end );
 
   /*! Fused diagonal table over a contiguous index window: multiplies
    *  amp[i] by table[key(base + i)] where key gathers the bits of
@@ -128,6 +214,17 @@ const simd_ops& ops_for( isa_kind isa ) noexcept;
 
 namespace detail
 {
+/*! Calls f(std::integral_constant<int, I>{}) for I = 0 .. N-1, unrolled
+ *  at compile time: the fused-block instances index their accumulator
+ *  arrays with constants only, so the arrays stay in registers. */
+template<int N, typename F>
+[[gnu::always_inline]] inline void static_for( F&& f )
+{
+  [&]<int... I>( std::integer_sequence<int, I...> ) {
+    ( f( std::integral_constant<int, I>{} ), ... );
+  }( std::make_integer_sequence<int, N>{} );
+}
+
 /*! Per-ISA tables; nullptr when the build or CPU lacks the ISA.  The
  *  AVX TUs are always compiled -- without their -m flags they compile
  *  to a stub returning nullptr. */

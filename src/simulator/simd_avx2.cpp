@@ -198,190 +198,75 @@ void swap_adjacent_avx2( amplitude* amp, uint64_t n_pairs )
   }
 }
 
-/* One block, out-of-place: the generic fallback of the batch below. */
-void matvec_avx2( amplitude* out, const amplitude* cols, const amplitude* in, uint64_t bs )
+/*! One fused-block instance per (h, in-lane support mask LM), as in
+ *  simd_avx512.cpp: constant-indexed register accumulators, and with
+ *  two lanes the only lane shift swaps the 128-bit halves. */
+template<int H, int LM>
+[[gnu::flatten]] void fused_block_impl_avx2( amplitude* state, const block_plan& plan,
+                                             uint64_t begin, uint64_t end )
 {
-  double* po = reinterpret_cast<double*>( out );
-  uint64_t r = 0u;
-  for ( ; r + 2u <= bs; r += 2u )
+  constexpr int R = 1 << H;
+  constexpr int S = LM == 0 ? 1 : 2;
+  uint64_t offsets[R];
+  for ( int c = 0; c < R; ++c )
   {
-    _mm256_storeu_pd( po + 2u * r, _mm256_setzero_pd() );
+    offsets[c] = 2u * plan.offsets[c];
   }
-  for ( ; r < bs; ++r )
+  uint64_t nonzero = plan.nonzero;
+  const double* coef = plan.coef;
+  double* p = reinterpret_cast<double*>( state );
+  uint64_t base = plan.bases.nth( begin );
+  for ( uint64_t j = begin; j < end; ++j, base = plan.bases.next( base ) )
   {
-    out[r] = amplitude{ 0.0 };
-  }
-  for ( uint64_t c = 0u; c < bs; ++c )
-  {
-    const coeff w = make_coeff( in[c] );
-    const double* pc = reinterpret_cast<const double*>( cols + c * bs );
-    uint64_t rr = 0u;
-    for ( ; rr + 2u <= bs; rr += 2u )
-    {
-      const __m256d acc = _mm256_loadu_pd( po + 2u * rr );
-      const __m256d x = _mm256_loadu_pd( pc + 2u * rr );
-      _mm256_storeu_pd( po + 2u * rr, cmul_acc( acc, x, w ) );
-    }
-    for ( ; rr < bs; ++rr )
-    {
-      out[rr] = cmul_acc1( out[rr], cols[c * bs + rr], w );
-    }
+    double* b = p + 2u * base;
+    /* keeps the term mask in a register: hoisted out of the loop, each
+     * bit test would become a stack load per term */
+    asm( "" : "+r"( nonzero ) );
+    __m256d acc[R];
+    detail::static_for<R>( [&]( auto ri ) { acc[decltype( ri )::value] = _mm256_setzero_pd(); } );
+    detail::static_for<R>( [&]( auto ci ) {
+      constexpr int c = decltype( ci )::value;
+      const __m256d x = _mm256_loadu_pd( b + offsets[c] );
+      detail::static_for<S>( [&]( auto si ) {
+        constexpr int s = decltype( si )::value;
+        constexpr int first = ( c * S + s ) * R;
+        if ( ( nonzero & ( ( ( uint64_t{ 1 } << R ) - 1u ) << first ) ) == 0u )
+        {
+          return;
+        }
+        const __m256d xs = s == 0 ? x : _mm256_permute2f128_pd( x, x, 0x01 );
+        const __m256d xw = swap_reim( xs );
+        detail::static_for<R>( [&]( auto ri ) {
+          constexpr int r = decltype( ri )::value;
+          if ( ( nonzero >> ( first + r ) ) & 1u )
+          {
+            const double* t = coef + 8 * ( first + r );
+            acc[r] = _mm256_fmadd_pd( xw, _mm256_load_pd( t + 4 ),
+                                      _mm256_fmadd_pd( xs, _mm256_load_pd( t ), acc[r] ) );
+          }
+        } );
+      } );
+    } );
+    detail::static_for<R>( [&]( auto ri ) {
+      constexpr int r = decltype( ri )::value;
+      _mm256_storeu_pd( b + offsets[r], acc[r] );
+    } );
   }
 }
 
-/*! Small dense blocks (4 or 8 amplitudes = VPG vectors per group): the
- *  reim-swapped columns are precomputed once so the inner loop is pure
- *  broadcast + FMA -- same per-element formula as cmul_acc, so results
- *  match the generic path's rounding exactly. */
-template<int VPG>
-void matvec_batch_small_avx2( amplitude* amp, const amplitude* cols, uint64_t groups )
-{
-  const uint64_t bs = 2u * VPG;
-  alignas( 32 ) double sw[2u * 64u];
-  const double* pc = reinterpret_cast<const double*>( cols );
-  for ( uint64_t i = 0u; i + 4u <= 2u * bs * bs; i += 4u )
-  {
-    _mm256_store_pd( sw + i, swap_reim( _mm256_loadu_pd( pc + i ) ) );
-  }
-  const __m256d sign_even = _mm256_setr_pd( -0.0, 0.0, -0.0, 0.0 );
-  double* p = reinterpret_cast<double*>( amp );
-  for ( uint64_t g = 0u; g < groups; ++g, p += 2u * bs )
-  {
-    __m256d acc[VPG];
-    for ( int v = 0; v < VPG; ++v )
-    {
-      acc[v] = _mm256_setzero_pd();
-    }
-    for ( uint64_t c = 0u; c < bs; ++c )
-    {
-      const __m256d wre = _mm256_set1_pd( p[2u * c] );
-      const __m256d wim_alt = _mm256_xor_pd( _mm256_set1_pd( p[2u * c + 1u] ), sign_even );
-      for ( int v = 0; v < VPG; ++v )
-      {
-        const __m256d col = _mm256_loadu_pd( pc + 2u * c * bs + 4u * v );
-        const __m256d col_sw = _mm256_load_pd( sw + 2u * c * bs + 4u * v );
-        acc[v] = _mm256_fmadd_pd( col_sw, wim_alt, _mm256_fmadd_pd( col, wre, acc[v] ) );
-      }
-    }
-    for ( int v = 0; v < VPG; ++v )
-    {
-      _mm256_storeu_pd( p + 4u * v, acc[v] );
-    }
-  }
-}
+using block_fn = void ( * )( amplitude*, const block_plan&, uint64_t, uint64_t );
 
-void matvec_batch_avx2( amplitude* amp, const amplitude* cols, uint64_t bs, uint64_t groups )
-{
-  if ( bs == 4u )
-  {
-    matvec_batch_small_avx2<2>( amp, cols, groups );
-    return;
-  }
-  if ( bs == 8u )
-  {
-    matvec_batch_small_avx2<4>( amp, cols, groups );
-    return;
-  }
-  alignas( 32 ) amplitude tmp[uint64_t{ 1 } << 10u];
-  for ( uint64_t g = 0u; g < groups; ++g )
-  {
-    amplitude* grp = amp + g * bs;
-    double* pg = reinterpret_cast<double*>( grp );
-    double* pt = reinterpret_cast<double*>( tmp );
-    uint64_t i = 0u;
-    for ( ; i + 2u <= bs; i += 2u )
-    {
-      _mm256_store_pd( pt + 2u * i, _mm256_loadu_pd( pg + 2u * i ) );
-    }
-    for ( ; i < bs; ++i )
-    {
-      tmp[i] = grp[i];
-    }
-    matvec_avx2( grp, cols, tmp, bs );
-  }
-}
+/* [lane_mask][h]: every block of at most max_register_block_qubits */
+constexpr block_fn fused_block_instances[2][4] = {
+  { fused_block_impl_avx2<0, 0>, fused_block_impl_avx2<1, 0>, fused_block_impl_avx2<2, 0>,
+    fused_block_impl_avx2<3, 0> },
+  { fused_block_impl_avx2<0, 1>, fused_block_impl_avx2<1, 1>, fused_block_impl_avx2<2, 1>,
+    nullptr },
+};
 
-/*! BS strided streams, no staging copies: all BS inputs are loaded
- *  before any output is stored, coefficients broadcast from the cols
- *  memory (L1-hot, 1 KiB at most).  Same per-element FMA formula as the
- *  batch path, so any chunking of `n` is bit-identical. */
-template<int BS>
-void block_streams_impl_avx2( amplitude* const* streams, uint64_t n, const amplitude* cols )
+void fused_block_avx2( amplitude* state, const block_plan& plan, uint64_t begin, uint64_t end )
 {
-  const double* pm = reinterpret_cast<const double*>( cols );
-  const __m256d sign_even = _mm256_setr_pd( -0.0, 0.0, -0.0, 0.0 );
-  uint64_t j = 0u;
-  for ( ; j + 2u <= n; j += 2u )
-  {
-    __m256d x[BS], xs[BS];
-    for ( int c = 0; c < BS; ++c )
-    {
-      x[c] = _mm256_loadu_pd( reinterpret_cast<const double*>( streams[c] + j ) );
-      xs[c] = swap_reim( x[c] );
-    }
-    for ( int r = 0; r < BS; ++r )
-    {
-      __m256d acc = _mm256_setzero_pd();
-      for ( int c = 0; c < BS; ++c )
-      {
-        const __m256d wre = _mm256_set1_pd( pm[2 * ( c * BS + r )] );
-        const __m256d wim_alt =
-            _mm256_xor_pd( _mm256_set1_pd( pm[2 * ( c * BS + r ) + 1] ), sign_even );
-        acc = _mm256_fmadd_pd( xs[c], wim_alt, _mm256_fmadd_pd( x[c], wre, acc ) );
-      }
-      _mm256_storeu_pd( reinterpret_cast<double*>( streams[r] + j ), acc );
-    }
-  }
-  for ( ; j < n; ++j )
-  {
-    amplitude x1[BS];
-    for ( int c = 0; c < BS; ++c )
-    {
-      x1[c] = streams[c][j];
-    }
-    for ( int r = 0; r < BS; ++r )
-    {
-      amplitude acc{ 0.0 };
-      for ( int c = 0; c < BS; ++c )
-      {
-        acc = cmul_acc1( acc, x1[c], make_coeff( cols[c * BS + r] ) );
-      }
-      streams[r][j] = acc;
-    }
-  }
-}
-
-void block_streams_avx2( amplitude* const* streams, uint64_t bs, uint64_t n,
-                         const amplitude* cols )
-{
-  if ( bs == 4u )
-  {
-    block_streams_impl_avx2<4>( streams, n, cols );
-    return;
-  }
-  if ( bs == 8u )
-  {
-    block_streams_impl_avx2<8>( streams, n, cols );
-    return;
-  }
-  /* other sizes: scalar sweep with the vector-lane FMA formula */
-  amplitude x[8];
-  for ( uint64_t j = 0u; j < n; ++j )
-  {
-    for ( uint64_t c = 0u; c < bs; ++c )
-    {
-      x[c] = streams[c][j];
-    }
-    for ( uint64_t r = 0u; r < bs; ++r )
-    {
-      amplitude acc{ 0.0 };
-      for ( uint64_t c = 0u; c < bs; ++c )
-      {
-        acc = cmul_acc1( acc, x[c], make_coeff( cols[c * bs + r] ) );
-      }
-      streams[r][j] = acc;
-    }
-  }
+  fused_block_instances[plan.lane_mask][plan.h]( state, plan, begin, end );
 }
 
 void diag_table_avx2( amplitude* amp, uint64_t base, uint64_t n, const uint32_t* qubits,
@@ -404,9 +289,12 @@ void diag_table_avx2( amplitude* amp, uint64_t base, uint64_t n, const uint32_t*
 }
 
 const simd_ops avx2_table = {
-  isa_kind::avx2,   scale_avx2,        scale_pairs_avx2,  pair_2x2_avx2,
-  pair_2x2_interleaved_avx2, pair_antidiag_avx2, swap_ranges_avx2, swap_adjacent_avx2,
-  matvec_batch_avx2, block_streams_avx2, diag_table_avx2,
+  isa_kind::avx2,     2u,
+  scale_avx2,         scale_pairs_avx2,
+  pair_2x2_avx2,      pair_2x2_interleaved_avx2,
+  pair_antidiag_avx2, swap_ranges_avx2,
+  swap_adjacent_avx2, fused_block_avx2,
+  diag_table_avx2,
 };
 
 } // namespace

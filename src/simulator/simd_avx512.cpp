@@ -10,6 +10,7 @@
 
 #if defined( QDA_SIMD_BUILD_AVX512 ) && ( defined( __x86_64__ ) || defined( __i386__ ) )
 
+#include <bit>
 #include <cmath>
 #include <immintrin.h>
 
@@ -221,194 +222,102 @@ void swap_adjacent_avx512( amplitude* amp, uint64_t n_pairs )
   }
 }
 
-/* One block, out-of-place: the generic fallback of the batch below. */
-void matvec_avx512( amplitude* out, const amplitude* cols, const amplitude* in, uint64_t bs )
+/* lane l <- lane l ^ S of the four complex lanes */
+template<int S>
+inline __m512d lane_xor( __m512d x ) noexcept
 {
-  double* po = reinterpret_cast<double*>( out );
-  uint64_t r = 0u;
-  for ( ; r + 4u <= bs; r += 4u )
+  if constexpr ( S == 0 )
   {
-    _mm512_storeu_pd( po + 2u * r, _mm512_setzero_pd() );
+    return x;
   }
-  for ( ; r < bs; ++r )
+  else if constexpr ( S == 1 )
   {
-    out[r] = amplitude{ 0.0 };
+    return _mm512_shuffle_f64x2( x, x, _MM_SHUFFLE( 2, 3, 0, 1 ) );
   }
-  for ( uint64_t c = 0u; c < bs; ++c )
+  else if constexpr ( S == 2 )
   {
-    const coeff w = make_coeff( in[c] );
-    const double* pc = reinterpret_cast<const double*>( cols + c * bs );
-    uint64_t rr = 0u;
-    for ( ; rr + 4u <= bs; rr += 4u )
-    {
-      const __m512d acc = _mm512_loadu_pd( po + 2u * rr );
-      const __m512d x = _mm512_loadu_pd( pc + 2u * rr );
-      _mm512_storeu_pd( po + 2u * rr, cmul_acc( acc, x, w ) );
-    }
-    for ( ; rr < bs; ++rr )
-    {
-      out[rr] = cmul_acc1( out[rr], cols[c * bs + rr], w );
-    }
+    return _mm512_shuffle_f64x2( x, x, _MM_SHUFFLE( 1, 0, 3, 2 ) );
+  }
+  else
+  {
+    return _mm512_shuffle_f64x2( x, x, _MM_SHUFFLE( 0, 1, 2, 3 ) );
   }
 }
 
-/*! Small dense blocks (4 or 8 amplitudes = VPG vectors per group): the
- *  reim-swapped columns are precomputed once so the inner loop is pure
- *  broadcast + FMA -- same per-element formula as cmul_acc, so results
- *  match the generic path's rounding exactly. */
-template<int VPG>
-void matvec_batch_small_avx512( amplitude* amp, const amplitude* cols, uint64_t groups )
+/*! One fused-block instance per (h, in-lane support mask LM): 2^h input
+ *  and accumulator vectors indexed by constants, so both stay in
+ *  registers; shift s runs over the subsets of LM (deposit order).
+ *  Each nonzero term is the cmul_acc FMA pair on precomputed operands. */
+template<int H, int LM>
+[[gnu::flatten]] void fused_block_impl_avx512( amplitude* state, const block_plan& plan,
+                                               uint64_t begin, uint64_t end )
 {
-  const uint64_t bs = 4u * VPG;
-  alignas( 64 ) double sw[2u * 64u];
-  const double* pc = reinterpret_cast<const double*>( cols );
-  for ( uint64_t i = 0u; i + 8u <= 2u * bs * bs; i += 8u )
+  constexpr int R = 1 << H;
+  constexpr int S = 1 << std::popcount( static_cast<unsigned>( LM ) );
+  uint64_t offsets[R];
+  for ( int c = 0; c < R; ++c )
   {
-    _mm512_store_pd( sw + i, swap_reim( _mm512_loadu_pd( pc + i ) ) );
+    offsets[c] = 2u * plan.offsets[c];
   }
-  const __m512d sign_even = _mm512_setr_pd( -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0 );
-  double* p = reinterpret_cast<double*>( amp );
-  for ( uint64_t g = 0u; g < groups; ++g, p += 2u * bs )
+  uint64_t nonzero = plan.nonzero;
+  const double* coef = plan.coef;
+  double* p = reinterpret_cast<double*>( state );
+  uint64_t base = plan.bases.nth( begin );
+  for ( uint64_t j = begin; j < end; ++j, base = plan.bases.next( base ) )
   {
-    __m512d acc[VPG];
-    for ( int v = 0; v < VPG; ++v )
-    {
-      acc[v] = _mm512_setzero_pd();
-    }
-    for ( uint64_t c = 0u; c < bs; ++c )
-    {
-      const __m512d wre = _mm512_set1_pd( p[2u * c] );
-      /* xor via the integer domain: _mm512_xor_pd needs AVX-512DQ */
-      const __m512d wim_alt = _mm512_castsi512_pd(
-          _mm512_xor_si512( _mm512_castpd_si512( _mm512_set1_pd( p[2u * c + 1u] ) ),
-                            _mm512_castpd_si512( sign_even ) ) );
-      for ( int v = 0; v < VPG; ++v )
-      {
-        const __m512d col = _mm512_loadu_pd( pc + 2u * c * bs + 8u * v );
-        const __m512d col_sw = _mm512_load_pd( sw + 2u * c * bs + 8u * v );
-        acc[v] = _mm512_fmadd_pd( col_sw, wim_alt, _mm512_fmadd_pd( col, wre, acc[v] ) );
-      }
-    }
-    for ( int v = 0; v < VPG; ++v )
-    {
-      _mm512_storeu_pd( p + 8u * v, acc[v] );
-    }
+    double* b = p + 2u * base;
+    /* keeps the term mask in a register: hoisted out of the loop, each
+     * bit test would become a stack load per term */
+    asm( "" : "+r"( nonzero ) );
+    __m512d acc[R];
+    detail::static_for<R>( [&]( auto ri ) { acc[decltype( ri )::value] = _mm512_setzero_pd(); } );
+    detail::static_for<R>( [&]( auto ci ) {
+      constexpr int c = decltype( ci )::value;
+      const __m512d x = _mm512_loadu_pd( b + offsets[c] );
+      detail::static_for<S>( [&]( auto si ) {
+        constexpr int s = decltype( si )::value;
+        constexpr int first = ( c * S + s ) * R;
+        if ( ( nonzero & ( ( ( uint64_t{ 1 } << R ) - 1u ) << first ) ) == 0u )
+        {
+          return;
+        }
+        const __m512d xs = lane_xor<LM == 2 ? 2 * s : s>( x );
+        const __m512d xw = swap_reim( xs );
+        detail::static_for<R>( [&]( auto ri ) {
+          constexpr int r = decltype( ri )::value;
+          if ( ( nonzero >> ( first + r ) ) & 1u )
+          {
+            const double* t = coef + 16 * ( first + r );
+            acc[r] = _mm512_fmadd_pd( xw, _mm512_load_pd( t + 8 ),
+                                      _mm512_fmadd_pd( xs, _mm512_load_pd( t ), acc[r] ) );
+          }
+        } );
+      } );
+    } );
+    detail::static_for<R>( [&]( auto ri ) {
+      constexpr int r = decltype( ri )::value;
+      _mm512_storeu_pd( b + offsets[r], acc[r] );
+    } );
   }
 }
 
-void matvec_batch_avx512( amplitude* amp, const amplitude* cols, uint64_t bs, uint64_t groups )
-{
-  if ( bs == 4u )
-  {
-    matvec_batch_small_avx512<1>( amp, cols, groups );
-    return;
-  }
-  if ( bs == 8u )
-  {
-    matvec_batch_small_avx512<2>( amp, cols, groups );
-    return;
-  }
-  alignas( 64 ) amplitude tmp[uint64_t{ 1 } << 10u];
-  for ( uint64_t g = 0u; g < groups; ++g )
-  {
-    amplitude* grp = amp + g * bs;
-    double* pg = reinterpret_cast<double*>( grp );
-    double* pt = reinterpret_cast<double*>( tmp );
-    uint64_t i = 0u;
-    for ( ; i + 4u <= bs; i += 4u )
-    {
-      _mm512_store_pd( pt + 2u * i, _mm512_loadu_pd( pg + 2u * i ) );
-    }
-    for ( ; i < bs; ++i )
-    {
-      tmp[i] = grp[i];
-    }
-    matvec_avx512( grp, cols, tmp, bs );
-  }
-}
+using block_fn = void ( * )( amplitude*, const block_plan&, uint64_t, uint64_t );
 
-/*! BS strided streams, no staging copies: all BS inputs are loaded
- *  before any output is stored, coefficients broadcast from the cols
- *  memory (L1-hot, 1 KiB at most).  Same per-element FMA formula as the
- *  batch path, so any chunking of `n` is bit-identical. */
-template<int BS>
-void block_streams_impl_avx512( amplitude* const* streams, uint64_t n, const amplitude* cols )
-{
-  const double* pm = reinterpret_cast<const double*>( cols );
-  const __m512d sign_even = _mm512_setr_pd( -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0 );
-  uint64_t j = 0u;
-  for ( ; j + 4u <= n; j += 4u )
-  {
-    __m512d x[BS], xs[BS];
-    for ( int c = 0; c < BS; ++c )
-    {
-      x[c] = _mm512_loadu_pd( reinterpret_cast<const double*>( streams[c] + j ) );
-      xs[c] = swap_reim( x[c] );
-    }
-    for ( int r = 0; r < BS; ++r )
-    {
-      __m512d acc = _mm512_setzero_pd();
-      for ( int c = 0; c < BS; ++c )
-      {
-        const __m512d wre = _mm512_set1_pd( pm[2 * ( c * BS + r )] );
-        const __m512d wim_alt = _mm512_castsi512_pd( _mm512_xor_si512(
-            _mm512_castpd_si512( _mm512_set1_pd( pm[2 * ( c * BS + r ) + 1] ) ),
-            _mm512_castpd_si512( sign_even ) ) );
-        acc = _mm512_fmadd_pd( xs[c], wim_alt, _mm512_fmadd_pd( x[c], wre, acc ) );
-      }
-      _mm512_storeu_pd( reinterpret_cast<double*>( streams[r] + j ), acc );
-    }
-  }
-  for ( ; j < n; ++j )
-  {
-    amplitude x1[BS];
-    for ( int c = 0; c < BS; ++c )
-    {
-      x1[c] = streams[c][j];
-    }
-    for ( int r = 0; r < BS; ++r )
-    {
-      amplitude acc{ 0.0 };
-      for ( int c = 0; c < BS; ++c )
-      {
-        acc = cmul_acc1( acc, x1[c], make_coeff( cols[c * BS + r] ) );
-      }
-      streams[r][j] = acc;
-    }
-  }
-}
+/* [lane_mask][h]: every block of at most max_register_block_qubits */
+constexpr block_fn fused_block_instances[4][4] = {
+  { fused_block_impl_avx512<0, 0>, fused_block_impl_avx512<1, 0>,
+    fused_block_impl_avx512<2, 0>, fused_block_impl_avx512<3, 0> },
+  { fused_block_impl_avx512<0, 1>, fused_block_impl_avx512<1, 1>,
+    fused_block_impl_avx512<2, 1>, nullptr },
+  { fused_block_impl_avx512<0, 2>, fused_block_impl_avx512<1, 2>,
+    fused_block_impl_avx512<2, 2>, nullptr },
+  { fused_block_impl_avx512<0, 3>, fused_block_impl_avx512<1, 3>, nullptr, nullptr },
+};
 
-void block_streams_avx512( amplitude* const* streams, uint64_t bs, uint64_t n,
-                           const amplitude* cols )
+void fused_block_avx512( amplitude* state, const block_plan& plan, uint64_t begin,
+                         uint64_t end )
 {
-  if ( bs == 4u )
-  {
-    block_streams_impl_avx512<4>( streams, n, cols );
-    return;
-  }
-  if ( bs == 8u )
-  {
-    block_streams_impl_avx512<8>( streams, n, cols );
-    return;
-  }
-  /* other sizes: scalar sweep with the vector-lane FMA formula */
-  amplitude x[8];
-  for ( uint64_t j = 0u; j < n; ++j )
-  {
-    for ( uint64_t c = 0u; c < bs; ++c )
-    {
-      x[c] = streams[c][j];
-    }
-    for ( uint64_t r = 0u; r < bs; ++r )
-    {
-      amplitude acc{ 0.0 };
-      for ( uint64_t c = 0u; c < bs; ++c )
-      {
-        acc = cmul_acc1( acc, x[c], make_coeff( cols[c * bs + r] ) );
-      }
-      streams[r][j] = acc;
-    }
-  }
+  fused_block_instances[plan.lane_mask][plan.h]( state, plan, begin, end );
 }
 
 void diag_table_avx512( amplitude* amp, uint64_t base, uint64_t n, const uint32_t* qubits,
@@ -431,9 +340,12 @@ void diag_table_avx512( amplitude* amp, uint64_t base, uint64_t n, const uint32_
 }
 
 const simd_ops avx512_table = {
-  isa_kind::avx512,   scale_avx512,        scale_pairs_avx512,  pair_2x2_avx512,
-  pair_2x2_interleaved_avx512, pair_antidiag_avx512, swap_ranges_avx512, swap_adjacent_avx512,
-  matvec_batch_avx512, block_streams_avx512, diag_table_avx512,
+  isa_kind::avx512,     4u,
+  scale_avx512,         scale_pairs_avx512,
+  pair_2x2_avx512,      pair_2x2_interleaved_avx512,
+  pair_antidiag_avx512, swap_ranges_avx512,
+  swap_adjacent_avx512, fused_block_avx512,
+  diag_table_avx512,
 };
 
 } // namespace

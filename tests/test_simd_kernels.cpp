@@ -10,6 +10,10 @@
  *  reference.  Sampling at a fixed seed must give identical counts
  *  across thread counts and ISAs.
  */
+#include "core/hidden_shift.hpp"
+#include "mapping/clifford_t.hpp"
+#include "pipeline/pass_manager.hpp"
+#include "pipeline/spec_parser.hpp"
 #include "simulator/fusion.hpp"
 #include "simulator/kernels.hpp"
 #include "simulator/simd.hpp"
@@ -176,6 +180,102 @@ void expect_states_identical( const std::vector<amplitude>& a, const std::vector
   EXPECT_EQ( 0, std::memcmp( a.data(), b.data(), a.size() * sizeof( amplitude ) ) ) << label;
 }
 
+/*! Row-major 2^k x 2^k matrix of a k-qubit circuit (local bit j =
+ *  circuit qubit j), one naive run per basis column. */
+std::vector<amplitude> circuit_matrix( const qcircuit& circuit )
+{
+  const uint64_t block = uint64_t{ 1 } << circuit.num_qubits();
+  std::vector<amplitude> matrix( block * block );
+  for ( uint64_t c = 0u; c < block; ++c )
+  {
+    statevector_simulator column( circuit.num_qubits() );
+    column.set_basis_state( c );
+    column.run_naive( circuit );
+    for ( uint64_t r = 0u; r < block; ++r )
+    {
+      matrix[r * block + c] = column.state()[r];
+    }
+  }
+  return matrix;
+}
+
+/*! Every entry nonzero: rotation layers around a CX ladder. */
+std::vector<amplitude> dense_block_matrix( uint32_t k )
+{
+  qcircuit circuit( k );
+  for ( uint32_t layer = 0u; layer < 2u; ++layer )
+  {
+    for ( uint32_t q = 0u; q < k; ++q )
+    {
+      circuit.rx( q, 0.3 + 0.2 * static_cast<double>( q + layer ) );
+      circuit.rz( q, 0.7 + 0.1 * static_cast<double>( q ) );
+    }
+    for ( uint32_t q = 0u; q + 1u < k; ++q )
+    {
+      circuit.cx( q, q + 1u );
+    }
+  }
+  return circuit_matrix( circuit );
+}
+
+/*! Two nonzeros per column, like the H-conjugated CNOT/T pieces of a
+ *  lowered Toffoli: H on qubit 0, then a CX ladder with T phases.  A
+ *  closing S makes some coefficients purely imaginary, so a zero test
+ *  that looked at one component only would drop live terms. */
+std::vector<amplitude> sparse_block_matrix( uint32_t k )
+{
+  qcircuit circuit( k );
+  circuit.h( 0u );
+  for ( uint32_t q = 0u; q + 1u < k; ++q )
+  {
+    circuit.cx( q, q + 1u );
+    circuit.t( q + 1u );
+  }
+  circuit.s( 0u );
+  return circuit_matrix( circuit );
+}
+
+/*! Direct group-by-group apply of a row-major block: the reference the
+ *  fused-block primitive must reproduce. */
+std::vector<amplitude> apply_block_directly( std::vector<amplitude> state,
+                                             const std::vector<uint32_t>& qubits,
+                                             const std::vector<amplitude>& matrix )
+{
+  const uint64_t block = uint64_t{ 1 } << qubits.size();
+  uint64_t support = 0u;
+  std::vector<uint64_t> offsets( block, 0u );
+  for ( uint32_t j = 0u; j < qubits.size(); ++j )
+  {
+    support |= uint64_t{ 1 } << qubits[j];
+    for ( uint64_t local = 0u; local < block; ++local )
+    {
+      offsets[local] |= ( ( local >> j ) & 1u ) << qubits[j];
+    }
+  }
+  std::vector<amplitude> in( block );
+  for ( uint64_t base = 0u; base < state.size(); ++base )
+  {
+    if ( ( base & support ) != 0u )
+    {
+      continue;
+    }
+    for ( uint64_t c = 0u; c < block; ++c )
+    {
+      in[c] = state[base + offsets[c]];
+    }
+    for ( uint64_t r = 0u; r < block; ++r )
+    {
+      amplitude acc{ 0.0 };
+      for ( uint64_t c = 0u; c < block; ++c )
+      {
+        acc += matrix[r * block + c] * in[c];
+      }
+      state[base + offsets[r]] = acc;
+    }
+  }
+  return state;
+}
+
 } // namespace
 
 TEST( simd_kernels, isa_query_and_override_are_consistent )
@@ -223,10 +323,6 @@ TEST( simd_kernels, kernel_primitives_agree_across_isas )
   {
     diag4[i] = std::polar( 1.0, -0.53 * static_cast<double>( i + 1u ) );
   }
-  const auto dense8 = random_state( 64u, 7u );  /* 8x8 block matrix */
-  const std::vector<uint32_t> contiguous{ 0u, 1u, 2u };
-  const std::vector<uint32_t> scattered{ 1u, 3u, 4u };
-  const std::vector<uint32_t> high_run{ 2u, 3u, 5u }; /* run of 4 -> stream path */
   const std::vector<uint32_t> diag_qubits_low{ 0u, 2u, 3u };
   const std::vector<uint32_t> diag_qubits_stretch{ 2u, 5u };
 
@@ -264,12 +360,6 @@ TEST( simd_kernels, kernel_primitives_agree_across_isas )
           sim::apply_diag_table( s, d, diag_qubits_low, diag8 ); } },
       { "diag_table q{2,5} stretch", [&]( amplitude* s, uint64_t d ) {
           sim::apply_diag_table( s, d, diag_qubits_stretch, diag4 ); } },
-      { "fused_kq contiguous", [&]( amplitude* s, uint64_t d ) {
-          sim::apply_fused_kq( s, d, contiguous, dense8 ); } },
-      { "fused_kq scattered", [&]( amplitude* s, uint64_t d ) {
-          sim::apply_fused_kq( s, d, scattered, dense8 ); } },
-      { "fused_kq high-run", [&]( amplitude* s, uint64_t d ) {
-          sim::apply_fused_kq( s, d, high_run, dense8 ); } },
   };
 
   for ( const auto& [label, kernel] : kernels )
@@ -288,6 +378,61 @@ TEST( simd_kernels, kernel_primitives_agree_across_isas )
       kernel( state.data(), dim );
       expect_states_close( state, reference,
                            label + " [" + sim::isa_name( isa ) + " vs scalar]" );
+    }
+  }
+
+  /* fused blocks: every class of support bits inside a vector ({}, {0},
+   * {1}, {0,1}: none of them in-lane on scalar, bit 0 on AVX2, bits 0-1
+   * on AVX-512) with 1..3 support qubits above them, for a dense and a
+   * sparse matrix; every ISA must match the direct group-by-group apply.
+   * Lane class {0,1} with three high qubits is a 5-qubit block, which
+   * every ISA hands to the scalar instance. */
+  struct fused_case
+  {
+    std::vector<uint32_t> qubits;
+    uint64_t dim;
+  };
+  std::vector<fused_case> fused_cases;
+  const std::vector<std::vector<uint32_t>> lane_classes = { {}, { 0u }, { 1u }, { 0u, 1u } };
+  const std::vector<std::vector<uint32_t>> high_sets = { { 4u }, { 2u, 6u }, { 3u, 5u, 8u } };
+  for ( const auto& lane : lane_classes )
+  {
+    for ( const auto& high : high_sets )
+    {
+      auto qubits = lane;
+      qubits.insert( qubits.end(), high.begin(), high.end() );
+      fused_cases.push_back( { qubits, dim } );
+    }
+  }
+  /* state vectors smaller than one vector register, and a block that
+   * spans the whole register */
+  fused_cases.push_back( { { 0u }, 2u } );
+  fused_cases.push_back( { { 1u }, 4u } );
+  fused_cases.push_back( { { 0u, 1u }, 4u } );
+  fused_cases.push_back( { { 0u, 1u, 2u }, 8u } );
+  for ( const auto& [qubits, case_dim] : fused_cases )
+  {
+    const uint32_t k = static_cast<uint32_t>( qubits.size() );
+    const std::vector<amplitude> start( base.begin(), base.begin() + case_dim );
+    std::string support = "q{";
+    for ( const auto q : qubits )
+    {
+      support += std::to_string( q ) + ( q == qubits.back() ? "}" : "," );
+    }
+    for ( const bool sparse : { false, true } )
+    {
+      const auto matrix = sparse ? sparse_block_matrix( k ) : dense_block_matrix( k );
+      const auto reference = apply_block_directly( start, qubits, matrix );
+      for ( const auto isa : available_isas() )
+      {
+        ASSERT_EQ( sim::set_isa( isa ), isa );
+        auto state = start;
+        sim::apply_fused_kq( state.data(), case_dim, qubits, matrix );
+        expect_states_close( state, reference,
+                             std::string( "fused_kq " ) + ( sparse ? "sparse " : "dense " ) +
+                                 support + " dim " + std::to_string( case_dim ) + " [" +
+                                 sim::isa_name( isa ) + " vs direct]" );
+      }
     }
   }
 }
@@ -413,6 +558,72 @@ TEST( simd_kernels, thread_count_bit_identity_per_isa )
                                std::string( sim::isa_name( isa ) ) + ", " +
                                    std::to_string( threads ) + " threads vs 1" );
     }
+    sim::set_num_threads( 0u );
+  }
+}
+
+/*! The paper's Fig. 7/8 flow at k = 5 (10 qubits plus 2 clean helpers
+ *  for the lowering, then `tpar; ps`), the circuit class whose lowered
+ *  Toffolis fill the dense blocks with sparse matrices: on every ISA the
+ *  fused program matches the naive walk and measures the shift with
+ *  probability 1.  Padded to 17 qubits, so the thread pool and the tile
+ *  schedule engage, it gives bit-identical states at 1 and 4 threads. */
+TEST( simd_kernels, hidden_shift_program_matches_naive_on_every_isa )
+{
+  engine_guard guard;
+  constexpr uint64_t shift = 0x2b5u;
+  const auto circuit = hidden_shift_circuit_mm( mm_bent_function::random( 5u, 11u ), shift );
+  clifford_t_options options;
+  options.max_qubits = circuit.num_qubits() + 2u;
+  staged_ir ir;
+  ir.set_quantum( lower_multi_controlled_gates( circuit, options ) );
+  pass_manager manager( /*enable_cache=*/false );
+  const auto optimized =
+      manager.run( parse_pipeline( "tpar; ps" ), std::move( ir ) ).ir.require_quantum().circuit;
+  const uint32_t num_qubits = optimized.num_qubits();
+  ASSERT_EQ( num_qubits, 12u );
+
+  std::vector<uint32_t> measured;
+  const auto prog = sim::compile_unitary_prefix( optimized, measured );
+  ASSERT_EQ( measured.size(), 10u );
+  EXPECT_TRUE( std::any_of( prog.ops.begin(), prog.ops.end(), []( const sim::op& o ) {
+    return o.kind == sim::op_kind::fused_kq;
+  } ) );
+  qcircuit unitary( num_qubits );
+  qcircuit padded( 17u );
+  for ( const auto& gate : optimized.gates() )
+  {
+    if ( gate.kind != gate_kind::measure && gate.kind != gate_kind::barrier )
+    {
+      unitary.add_gate( gate );
+      padded.add_gate( gate );
+    }
+  }
+  statevector_simulator naive_run( num_qubits );
+  naive_run.run_naive( unitary );
+  uint64_t outcome = 0u;
+  for ( size_t j = 0u; j < measured.size(); ++j )
+  {
+    outcome |= ( ( shift >> j ) & 1u ) << measured[j];
+  }
+
+  const auto padded_prog = sim::compile( padded );
+  for ( const auto isa : available_isas() )
+  {
+    ASSERT_EQ( sim::set_isa( isa ), isa );
+    statevector_simulator fused_run( num_qubits );
+    fused_run.run_program( prog );
+    const std::string label = std::string( "hidden shift k=5 [" ) + sim::isa_name( isa ) + "]";
+    expect_states_close( fused_run.state(), naive_run.state(), label + " vs naive" );
+    EXPECT_NEAR( fused_run.probability_of( outcome ), 1.0, amplitude_tolerance ) << label;
+
+    sim::set_num_threads( 1u );
+    statevector_simulator single( 17u );
+    single.run_program( padded_prog );
+    sim::set_num_threads( 4u );
+    statevector_simulator multi( 17u );
+    multi.run_program( padded_prog );
+    expect_states_identical( multi.state(), single.state(), label + ", 4 threads vs 1" );
     sim::set_num_threads( 0u );
   }
 }

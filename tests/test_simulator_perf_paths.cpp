@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 namespace qda
@@ -193,6 +194,88 @@ TEST( perf_paths_test, fused_matches_naive_on_random_clifford_t_circuits )
     statevector_simulator naive( 6u );
     naive.run_naive( circuit );
     expect_states_close( fused.state(), naive.state(), "random Clifford+T" );
+  }
+}
+
+/*! The compiled program of a seeded Clifford+T circuit is pinned.  It
+ *  is on 40 qubits (compiling needs no state vector), so ops commute far
+ *  back and the 64-block open window overflows all the time and shapes
+ *  the dense blocks (a 48-block window fails the pin).  Op kinds,
+ *  supports, gate counts and table widths by an exact digest, with and
+ *  without dense fusion.  The tables of the dense-off program (phase
+ *  tables and 2x2s) are pinned bit for bit; the dense blocks' matrices
+ *  are pinned by a weighted sum, since composing them row-wise rounds
+ *  differently from the column-wise kernel walk the pins were taken on. */
+TEST( perf_paths_test, compiled_program_is_pinned_on_a_seeded_clifford_t_circuit )
+{
+  struct fnv
+  {
+    uint64_t hash = 1469598103934665603ull;
+    void add( uint64_t value )
+    {
+      for ( uint32_t i = 0u; i < 8u; ++i )
+      {
+        hash ^= ( value >> ( 8u * i ) ) & 0xffu;
+        hash *= 1099511628211ull;
+      }
+    }
+    void add( const std::complex<double>& value )
+    {
+      uint64_t bits[2];
+      std::memcpy( bits, &value, sizeof( bits ) );
+      add( bits[0] );
+      add( bits[1] );
+    }
+  };
+  struct pin
+  {
+    uint32_t dense_qubits;
+    size_t ops;
+    uint64_t structure;
+    uint64_t table_bits; /* 0: not pinned bitwise */
+    double weighted_sum;
+  };
+  const auto circuit = random_circuit( 40u, 3000u, 2024u, /*with_rotations=*/false );
+  for ( const auto& expected : { pin{ 3u, 778u, 0xd6afaa3576662aa4ull, 0u, 9283197.51379566 },
+                                 pin{ 0u, 1344u, 0xa22b1c9e3faf6e3full, 0xce776ae6053f14d2ull,
+                                      2806009.28195029 } } )
+  {
+    sim::compile_options options;
+    options.max_dense_fusion_qubits = expected.dense_qubits;
+    options.tile_scheduling = false;
+    const auto prog = sim::compile( circuit, options );
+    fnv structure;
+    fnv table_bits;
+    double weighted_sum = 0.0;
+    for ( const auto& o : prog.ops )
+    {
+      structure.add( static_cast<uint64_t>( o.kind ) );
+      structure.add( sim::op_support( o ) );
+      structure.add( o.source_gates );
+      structure.add( o.table.size() );
+      for ( const auto q : o.table_qubits )
+      {
+        structure.add( q );
+      }
+      for ( size_t i = 0u; i < o.table.size(); ++i )
+      {
+        table_bits.add( o.table[i] );
+        weighted_sum += ( static_cast<double>( i ) + 1.0 ) *
+                        ( o.table[i].real() + 2.0 * o.table[i].imag() );
+      }
+      for ( const auto& entry : o.m )
+      {
+        table_bits.add( entry );
+      }
+    }
+    const std::string label = "dense qubits " + std::to_string( expected.dense_qubits );
+    EXPECT_EQ( prog.ops.size(), expected.ops ) << label;
+    EXPECT_EQ( structure.hash, expected.structure ) << label;
+    if ( expected.table_bits != 0u )
+    {
+      EXPECT_EQ( table_bits.hash, expected.table_bits ) << label;
+    }
+    EXPECT_NEAR( weighted_sum, expected.weighted_sum, 1e-6 ) << label;
   }
 }
 

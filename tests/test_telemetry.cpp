@@ -3,6 +3,7 @@
  *         pass manager's automatic cost recording.
  */
 #include "pipeline/pass_manager.hpp"
+#include "simulator/fusion.hpp"
 #include "telemetry/metadata.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/session.hpp"
@@ -311,6 +312,29 @@ TEST_F( telemetry_fixture, counters_are_exact_under_contention )
                                 []( const auto& c ) { return c.first == "test.contended"; } );
   ASSERT_NE( it, snapshot.counters.end() );
   EXPECT_EQ( it->second, num_workers * per_worker );
+}
+
+/*! A dense fused block reports its gates and its nonzero matrix
+ *  entries, so a trace shows how sparse the fused blocks are: H then CX
+ *  on the same pair is one 4x4 block with two nonzeros per column. */
+TEST_F( telemetry_fixture, dense_fusion_counts_block_nonzeros )
+{
+  qcircuit circuit( 3u );
+  circuit.h( 0u );
+  circuit.cx( 0u, 1u );
+  const auto prog = sim::compile( circuit );
+  ASSERT_EQ( prog.ops.size(), 1u );
+  EXPECT_EQ( prog.ops.front().kind, sim::op_kind::fused_kq );
+
+  const auto snapshot = telemetry::metrics_registry::instance().snapshot();
+  const auto counter = [&]( const std::string& name ) -> uint64_t {
+    const auto it = std::find_if( snapshot.counters.begin(), snapshot.counters.end(),
+                                  [&]( const auto& c ) { return c.first == name; } );
+    return it == snapshot.counters.end() ? 0u : it->second;
+  };
+  EXPECT_EQ( counter( "sim.fusion.dense_blocks" ), 1u );
+  EXPECT_EQ( counter( "sim.fusion.dense_block_gates" ), 2u );
+  EXPECT_EQ( counter( "sim.fusion.dense_block_nonzeros" ), 8u );
 }
 
 TEST_F( telemetry_fixture, histogram_buckets_partition_values )
