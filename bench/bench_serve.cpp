@@ -14,7 +14,14 @@
  *      result cache, cross-job prefix reuse, coalescing) at different
  *      worker-pool sizes;
  *    - exact_text_8w: ablation keying the cache on the raw spec string
- *      instead of the canonical structural hash.
+ *      instead of the canonical structural hash;
+ *    - one_shot: distinct Eq. (5) programs, each submitted once, through
+ *      a default 1-worker server.  Nothing repeats, so nothing can hit;
+ *      the row records what the caches hold anyway: no result entries
+ *      (admission waits for a second sighting) and frozen prefix
+ *      snapshots at under 3 bytes per held gate.  Next to it, the
+ *      snapshot codec is timed on a random n = 8 rptm output: a live
+ *      `staged_ir` copy against `frozen_ir` freeze and thaw.
  *
  *  The workload is zipf-distributed over ~30 unique pipelines (hwb
  *  3..5 with assorted optimization tails), and every request's raw text
@@ -27,15 +34,16 @@
  *  keeps compiling on 1-core CI runners, where thread scaling is ~1x).
  *
  *  Emits BENCH_serve.json and (outside QDA_BENCH_SMOKE) enforces the
- *  acceptance floors: >= 4x amortized speedup at 8 workers and a
- *  strictly higher hit rate for structural keying than for exact-text
- *  keying.
+ *  acceptance floors: >= 4x amortized speedup at 8 workers, a strictly
+ *  higher hit rate for structural keying than for exact-text keying,
+ *  and an empty result cache after one-shot traffic.
  */
 #include "pipeline/pass_manager.hpp"
 #include "server/compile_server.hpp"
 #include "telemetry/clock.hpp"
 #include "telemetry/metadata.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +58,7 @@ namespace
 
 using clock_type = qda::telemetry::steady_clock;
 using qda::telemetry::elapsed_ms_since;
+using namespace qda;
 using namespace qda::server;
 
 /*! One of three equivalent spellings of `spec`, as distinct clients
@@ -207,6 +216,80 @@ server_options amortized_options( uint32_t workers )
   return options;
 }
 
+struct one_shot_result
+{
+  size_t requests = 0u;
+  double wall_ms = 0.0;
+  server_statistics stats;
+
+  double prefix_bytes_per_gate() const noexcept
+  {
+    return stats.prefix_cache.gates == 0u
+               ? 0.0
+               : static_cast<double>( stats.prefix_cache.bytes ) /
+                     static_cast<double>( stats.prefix_cache.gates );
+  }
+};
+
+/*! What a snapshot costs on one rptm output: a live `staged_ir` copy
+ *  (what prefix entries held before they were frozen) against freezing
+ *  and thawing it, best of `rounds`, in microseconds. */
+struct codec_timing
+{
+  uint64_t gates = 0u;
+  double copy_us = 0.0;
+  double freeze_us = 0.0;
+  double thaw_us = 0.0;
+  double bytes_per_gate = 0.0; /*!< frozen Clifford+T circuit */
+};
+
+codec_timing time_codec( const std::string& spec, int rounds )
+{
+  run_plan plan;
+  plan.use_library = false;
+  const auto program = pass_manager( false ).run( parse_pipeline( spec ), staged_ir{}, plan ).ir;
+  const auto best_us = [rounds]( const auto& work ) {
+    double best = 1e300;
+    for ( int i = 0; i < rounds; ++i )
+    {
+      const auto start = clock_type::now();
+      work();
+      best = std::min( best, 1000.0 * elapsed_ms_since( start ) );
+    }
+    return best;
+  };
+  codec_timing timing;
+  timing.gates = program.current_gate_count();
+  timing.copy_us = best_us( [&] { staged_ir copy = program; } );
+  timing.freeze_us = best_us( [&] { frozen_ir frozen( program ); } );
+  const frozen_ir frozen( program );
+  timing.thaw_us = best_us( [&] { frozen.thaw(); } );
+  const auto circuit =
+      ir::frozen_circuit<ir::cliffordt_policy>::freeze( program.quantum->circuit.core() );
+  timing.bytes_per_gate =
+      static_cast<double>( circuit.bytes() ) / static_cast<double>( circuit.num_gates() );
+  return timing;
+}
+
+/*! Distinct `revgen --random 7` programs under the Eq. (5) tail, one
+ *  submission each, through a default 1-worker server. */
+one_shot_result run_one_shot( size_t count )
+{
+  one_shot_result row;
+  row.requests = count;
+  compile_server server( amortized_options( 1u ) );
+  const auto start = clock_type::now();
+  for ( size_t seed = 1u; seed <= count; ++seed )
+  {
+    server.submit( "revgen --random 7 --seed " + std::to_string( seed ) +
+                   "; tbs; revsimp; rptm; tpar; ps" )
+        .get();
+  }
+  row.wall_ms = elapsed_ms_since( start );
+  row.stats = server.statistics();
+  return row;
+}
+
 } // namespace
 
 int main()
@@ -301,6 +384,27 @@ int main()
     }
     std::abort();
   };
+  const auto one_shot = run_one_shot( smoke ? 20u : 200u );
+  std::printf( "\n%-16s %-8u %-10.1f %-11.1f %-10.3f %-9llu  result entries %llu, "
+               "prefix %.1f KiB over %llu gates (%.2f B/gate)\n",
+               "one_shot", 1u, one_shot.wall_ms,
+               1000.0 * static_cast<double>( one_shot.requests ) / one_shot.wall_ms,
+               one_shot.stats.hit_rate(),
+               static_cast<unsigned long long>( one_shot.stats.compiled ),
+               static_cast<unsigned long long>( one_shot.stats.result_cache.entries ),
+               static_cast<double>( one_shot.stats.prefix_cache.bytes ) / 1024.0,
+               static_cast<unsigned long long>( one_shot.stats.prefix_cache.gates ),
+               one_shot.prefix_bytes_per_gate() );
+
+  const auto codec =
+      time_codec( smoke ? "revgen --random 6 --seed 7; tbs; revsimp; rptm"
+                        : "revgen --random 8 --seed 7; tbs; revsimp; rptm",
+                  smoke ? 3 : 20 );
+  std::printf( "snapshot codec on a %llu-gate rptm output: copy %.1f us, freeze %.1f us, "
+               "thaw %.1f us, %.2f B/gate frozen\n",
+               static_cast<unsigned long long>( codec.gates ), codec.copy_us, codec.freeze_us,
+               codec.thaw_us, codec.bytes_per_gate );
+
   const auto& serial = find_row( "serial_baseline" );
   const auto& amortized_1 = find_row( "amortized_1w" );
   const auto& amortized_8 = find_row( "amortized_8w" );
@@ -377,6 +481,22 @@ int main()
   }
   std::fprintf( json, "  ],\n" );
   std::fprintf( json,
+                "  \"one_shot\": { \"requests\": %zu, \"workers\": 1, \"wall_ms\": %.1f, "
+                "\"hit_rate\": %.4f, \"compiled\": %llu, \"result_entries\": %llu, "
+                "\"result_bytes\": %llu, \"prefix_entries\": %llu, \"prefix_bytes\": %llu, "
+                "\"prefix_gates\": %llu, \"prefix_bytes_per_gate\": %.4f,\n"
+                "    \"codec\": { \"rptm_gates\": %llu, \"copy_us\": %.1f, \"freeze_us\": %.1f, "
+                "\"thaw_us\": %.1f, \"frozen_bytes_per_gate\": %.4f } },\n",
+                one_shot.requests, one_shot.wall_ms, one_shot.stats.hit_rate(),
+                static_cast<unsigned long long>( one_shot.stats.compiled ),
+                static_cast<unsigned long long>( one_shot.stats.result_cache.entries ),
+                static_cast<unsigned long long>( one_shot.stats.result_cache.bytes ),
+                static_cast<unsigned long long>( one_shot.stats.prefix_cache.entries ),
+                static_cast<unsigned long long>( one_shot.stats.prefix_cache.bytes ),
+                static_cast<unsigned long long>( one_shot.stats.prefix_cache.gates ),
+                one_shot.prefix_bytes_per_gate(), static_cast<unsigned long long>( codec.gates ),
+                codec.copy_us, codec.freeze_us, codec.thaw_us, codec.bytes_per_gate );
+  std::fprintf( json,
                 "  \"summary\": { \"speedup_8_workers_vs_serial_baseline\": %.2f, "
                 "\"thread_scaling_8v1\": %.2f, \"structural_hit_rate\": %.4f, "
                 "\"exact_text_hit_rate\": %.4f, \"hit_rate_gain\": %.4f, "
@@ -419,12 +539,19 @@ int main()
                    static_cast<unsigned long long>( degrade_8.stats.failed ) );
       failed = true;
     }
+    if ( one_shot.stats.result_cache.entries != 0u )
+    {
+      std::printf( "E11: FAIL one-shot traffic left %llu result entries (expected 0)\n",
+                   static_cast<unsigned long long>( one_shot.stats.result_cache.entries ) );
+      failed = true;
+    }
     if ( failed )
     {
       return 1;
     }
     std::printf( "floors: amortized speedup >= 4x, structural > exact-text hit rate, "
-                 "healthy degrade-path >= 0.80x strict throughput\n" );
+                 "healthy degrade-path >= 0.80x strict throughput, "
+                 "no result entries after one-shot traffic\n" );
   }
   return 0;
 }

@@ -9,7 +9,10 @@ wall-clock numbers shift with the host.  A small set of absolute floors
 (ABSOLUTE_FLOORS) is additionally enforced on the current run only.
 Circuit sizes are deterministic, so BENCH_tpar.json is compared
 exactly: any T, CNOT or gate count above the baseline's fails, with no
-tolerance.
+tolerance.  The same holds for the work counters of bench_serve's
+one-shot row (WORK_CEILINGS): one-shot traffic must leave no result
+entries, and the prefix cache's bytes per held gate may not rise more
+than 1% above the baseline nor above an absolute ceiling.
 
 Usage:
     scripts/check_bench_regression.py \
@@ -50,6 +53,32 @@ ABSOLUTE_FLOORS = {
     "library.second_sighting_speedup": 1.5,
     "library.warm_restart_speedup": 1.1,
 }
+
+
+# hard ceilings on deterministic work counters of the current run
+WORK_CEILINGS = {
+    # distinct specs never repeat, so the result cache admits none of
+    # them (admission waits for a key's second sighting)
+    "serve.one_shot.result_entries": 0,
+    # frozen prefix snapshots: byte-packed circuits, no handles or
+    # tombstones (the live IR held ~35 bytes per gate)
+    "serve.one_shot.prefix_bytes_per_gate": 3.0,
+}
+
+# deterministic work counters compared to the baseline within 1%
+WORK_TOLERANCE = 0.01
+
+
+def collect_work(directory):
+    """Maps work-counter name -> value (smaller is better)."""
+    work = {}
+    serve = load(os.path.join(directory, "BENCH_serve.json"))
+    if serve is not None and not serve.get("smoke", False):
+        one_shot = serve.get("one_shot", {})
+        for key in ("result_entries", "prefix_bytes_per_gate"):
+            if key in one_shot:
+                work[f"serve.one_shot.{key}"] = one_shot[key]
+    return work
 
 
 def collect_metrics(directory):
@@ -201,6 +230,18 @@ def main():
             failures.append(name)
         print(f"{status}{name}: current {cur_value:.2f} (absolute floor {floor:.2f})")
 
+    base_work = collect_work(args.baseline_dir)
+    for name, cur_value in sorted(collect_work(args.current_dir).items()):
+        checked += 1
+        ceiling = WORK_CEILINGS[name]
+        if name in base_work:
+            ceiling = min(ceiling, base_work[name] * (1.0 + WORK_TOLERANCE))
+        status = "ok   "
+        if cur_value > ceiling:
+            status = "FAIL "
+            failures.append(name)
+        print(f"{status}{name}: current {cur_value} (ceiling {ceiling:g})")
+
     for name, base_value, cur_value in tpar_count_checks(args.baseline_dir,
                                                          args.current_dir):
         checked += 1
@@ -215,10 +256,11 @@ def main():
         return 2
     if failures:
         print(f"\n{len(failures)} metric(s) regressed (ratios by more than "
-              f"{args.tolerance:.0%}, tpar counts at all): {', '.join(failures)}")
+              f"{args.tolerance:.0%}, tpar counts at all, work counters past their ceilings): "
+              f"{', '.join(failures)}")
         return 1
     print(f"\nall {checked} enforced metric(s) hold (ratios within {args.tolerance:.0%}, "
-          f"tpar counts not above baseline)")
+          f"tpar counts not above baseline, work counters under their ceilings)")
     return 0
 
 

@@ -62,6 +62,22 @@ public:
 
   explicit circuit( uint32_t num_wires ) : num_wires_( num_wires ) {}
 
+  /*! \brief Adopts fully built columns as a compacted circuit: every
+   *         row is alive and gate `i` gets slot `i` and handle `i`.
+   *         Snapshot decoders (`frozen_circuit::thaw`) fill the columns
+   *         in bulk and hand them over here, with no per-row emplace.
+   */
+  circuit( uint32_t num_wires, columns_type cols )
+      : num_wires_( num_wires ), cols_( std::move( cols ) ), dead_( cols_.size(), 0u ),
+        id_of_( cols_.size() ), slot_of_( cols_.size() )
+  {
+    for ( uint32_t slot = 0u; slot < num_slots(); ++slot )
+    {
+      id_of_[slot] = slot;
+      slot_of_[slot] = slot;
+    }
+  }
+
   uint32_t num_wires() const noexcept { return num_wires_; }
 
   /*! \brief Widens the circuit to `num_wires` (never narrows): lowering
@@ -165,6 +181,15 @@ public:
         register_new_row();
       }
     }
+  }
+
+  /*! \brief Heap bytes held: the policy columns plus the handle and
+   *         tombstone bookkeeping, by capacity.
+   */
+  size_t heap_bytes() const noexcept
+  {
+    return cols_.heap_bytes() + dead_.capacity() * sizeof( uint8_t ) +
+           ( id_of_.capacity() + slot_of_.capacity() ) * sizeof( uint32_t );
   }
 
   /*! \brief Reserves room for `n` rows in every per-row vector. */

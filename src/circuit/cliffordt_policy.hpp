@@ -7,7 +7,10 @@
  *  angle).  Rows are therefore fixed-size and cache-friendly, and the
  *  view type (`qgate_view`) spans the slab instead of copying it.
  *  Replacing a row may strand old slab entries; compaction (driven by
- *  the core on rewriter commit) rebuilds the slab densely.
+ *  the core on rewriter commit) rebuilds the slab densely.  Columns
+ *  decoded from a snapshot (circuit/frozen_circuit.hpp) hold one pool
+ *  entry per angle row and an empty lookup, so later interning may
+ *  duplicate a pool value; row values are unaffected.
  */
 #pragma once
 
@@ -43,6 +46,18 @@ struct cliffordt_policy
     std::vector<double> angles;     /*!< deduplicated angle pool */
 
     size_t size() const noexcept { return kind.size(); }
+
+    size_t heap_bytes() const noexcept
+    {
+      /* hash nodes: key, value and a next pointer, plus the bucket array */
+      constexpr size_t node_bytes = sizeof( uint64_t ) + sizeof( uint32_t ) + 2u * sizeof( void* );
+      return kind.capacity() * sizeof( gate_kind ) +
+             ( target.capacity() + target2.capacity() + op_offset.capacity() +
+               op_count.capacity() + angle_index.capacity() + operands.capacity() ) *
+                 sizeof( uint32_t ) +
+             angles.capacity() * sizeof( double ) + angle_lookup_.size() * node_bytes +
+             angle_lookup_.bucket_count() * sizeof( void* );
+    }
 
     void reserve( size_t n )
     {

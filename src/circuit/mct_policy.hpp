@@ -30,6 +30,12 @@ struct mct_policy
 
     size_t size() const noexcept { return target.size(); }
 
+    size_t heap_bytes() const noexcept
+    {
+      return ( controls.capacity() + polarity.capacity() ) * sizeof( uint64_t ) +
+             target.capacity() * sizeof( uint32_t );
+    }
+
     void reserve( size_t n )
     {
       controls.reserve( n );

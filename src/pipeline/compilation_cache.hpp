@@ -75,7 +75,8 @@ structural_key compute_text_key( const std::string& raw_spec_text );
 /*! \brief Compilation cache counters.
  *
  *  `hits`/`misses` count lookups, `evictions` counts entries dropped by
- *  the capacity bound, `entries` is the current size.
+ *  the capacity bound, `entries` is the current size and `bytes` what
+ *  the entries hold.
  */
 struct cache_statistics
 {
@@ -83,6 +84,7 @@ struct cache_statistics
   uint64_t misses = 0u;
   uint64_t evictions = 0u;
   uint64_t entries = 0u;
+  uint64_t bytes = 0u; /*!< heap bytes held by the entries (0 if untracked) */
 };
 
 /*! \brief Pluggable memoization backend of the pass manager.

@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include "circuit/frozen_circuit.hpp"
 #include "kernel/permutation.hpp"
 #include "mapping/clifford_t.hpp"
 #include "mapping/router.hpp"
@@ -184,6 +185,139 @@ struct staged_ir
     }
     return std::nullopt;
   }
+
+  /*! \brief Heap bytes held by the stage artifacts, by capacity. */
+  size_t heap_bytes() const noexcept
+  {
+    size_t bytes = 0u;
+    if ( target_permutation )
+    {
+      bytes += target_permutation->images().capacity() * sizeof( uint64_t );
+    }
+    if ( reversible )
+    {
+      bytes += reversible->core().heap_bytes();
+    }
+    if ( quantum )
+    {
+      bytes += quantum->circuit.core().heap_bytes();
+    }
+    if ( mapped )
+    {
+      bytes += mapped->circuit.core().heap_bytes() +
+               ( mapped->initial_layout.capacity() + mapped->final_layout.capacity() ) *
+                   sizeof( uint32_t );
+    }
+    return bytes;
+  }
+};
+
+/*! \brief Immutable snapshot of a `staged_ir`, for caches that only
+ *         hand programs back.
+ *
+ *  The small artifacts (permutation, statistics, stage, layouts) are
+ *  kept as they are.  Every circuit -- the reversible one and each
+ *  Clifford+T one (quantum and mapped) -- is frozen into one byte-packed
+ *  allocation (circuit/frozen_circuit.hpp): about 2.4 bytes per
+ *  Clifford+T gate and 3 per MCT gate up to 8 lines, instead of the
+ *  live IR's ~30-40.  `thaw` rebuilds a `staged_ir` whose circuits
+ *  equal the frozen ones gate for gate, so a run resumed from a
+ *  snapshot compiles exactly as one resumed from a copy.
+ */
+class frozen_ir
+{
+public:
+  explicit frozen_ir( const staged_ir& source )
+      : permutation_( source.target_permutation ),
+        last_statistics_( source.last_statistics ), current_( source.current )
+  {
+    if ( source.reversible )
+    {
+      reversible_ = frozen_mct::freeze( source.reversible->core() );
+    }
+    if ( source.quantum )
+    {
+      quantum_ = frozen_cliffordt::freeze( source.quantum->circuit.core() );
+      helpers_ = source.quantum->num_helper_qubits;
+    }
+    if ( source.mapped )
+    {
+      mapped_circuit_ = frozen_cliffordt::freeze( source.mapped->circuit.core() );
+      mapped_ = routing_result{ qcircuit( 0u ), source.mapped->initial_layout,
+                                source.mapped->final_layout, source.mapped->added_swaps,
+                                source.mapped->added_direction_fixes };
+    }
+  }
+
+  staged_ir thaw() const
+  {
+    staged_ir ir;
+    ir.target_permutation = permutation_;
+    if ( reversible_ )
+    {
+      ir.reversible = rev_circuit( reversible_->thaw() );
+    }
+    if ( quantum_ )
+    {
+      ir.quantum = clifford_t_result{ qcircuit( quantum_->thaw() ), helpers_ };
+    }
+    if ( mapped_ )
+    {
+      ir.mapped = *mapped_;
+      ir.mapped->circuit = qcircuit( mapped_circuit_->thaw() );
+    }
+    ir.last_statistics = last_statistics_;
+    ir.current = current_;
+    return ir;
+  }
+
+  /*! \brief Gates held, over every circuit of the snapshot. */
+  uint64_t num_gates() const noexcept
+  {
+    return ( reversible_ ? reversible_->num_gates() : 0u ) +
+           ( quantum_ ? quantum_->num_gates() : 0u ) +
+           ( mapped_circuit_ ? mapped_circuit_->num_gates() : 0u );
+  }
+
+  /*! \brief Heap bytes held by the snapshot. */
+  size_t heap_bytes() const noexcept
+  {
+    size_t bytes = 0u;
+    if ( permutation_ )
+    {
+      bytes += permutation_->images().capacity() * sizeof( uint64_t );
+    }
+    if ( reversible_ )
+    {
+      bytes += reversible_->bytes();
+    }
+    if ( quantum_ )
+    {
+      bytes += quantum_->bytes();
+    }
+    if ( mapped_ )
+    {
+      bytes += mapped_circuit_->bytes() +
+               ( mapped_->initial_layout.capacity() + mapped_->final_layout.capacity() ) *
+                   sizeof( uint32_t );
+    }
+    return bytes;
+  }
+
+private:
+  using frozen_mct = ir::frozen_circuit<ir::mct_policy>;
+  using frozen_cliffordt = ir::frozen_circuit<ir::cliffordt_policy>;
+
+  std::optional<permutation> permutation_;
+  std::optional<frozen_mct> reversible_;
+  std::optional<frozen_cliffordt> quantum_;
+  uint32_t helpers_ = 0u; /*!< clean helper qubits of the quantum stage */
+  std::optional<frozen_cliffordt> mapped_circuit_;
+  /*! The routing record around the mapped circuit (its own circuit
+   *  left empty). */
+  std::optional<routing_result> mapped_;
+  std::optional<circuit_statistics> last_statistics_;
+  stage current_;
 };
 
 } // namespace qda

@@ -171,7 +171,7 @@ compilation_result pass_manager::run( const pipeline_spec& spec, staged_ir initi
   {
     key = plan.cache_key ? *plan.cache_key : compute_structural_key( spec, initial );
   }
-  if ( cache_ && plan.lookup )
+  if ( cache_ )
   {
     std::shared_ptr<const compilation_result> cached;
     try
@@ -346,6 +346,22 @@ compilation_result pass_manager::run( const pipeline_spec& spec, staged_ir initi
     }
   }
   return result;
+}
+
+size_t heap_bytes( const std::vector<pass_report>& reports ) noexcept
+{
+  size_t bytes = reports.capacity() * sizeof( pass_report );
+  for ( const auto& report : reports )
+  {
+    bytes += report.name.capacity() + report.arguments.capacity() +
+             report.degraded_reason.capacity();
+  }
+  return bytes;
+}
+
+size_t compilation_result::heap_bytes() const noexcept
+{
+  return ir.heap_bytes() + qda::heap_bytes( reports ) + spec.capacity();
 }
 
 cache_statistics pass_manager::cache_stats() const

@@ -74,6 +74,9 @@ struct pass_report
   std::optional<circuit_statistics> statistics_after;
 };
 
+/*! \brief Heap bytes held by a run's reports (strings included). */
+size_t heap_bytes( const std::vector<pass_report>& reports ) noexcept;
+
 /*! \brief Result of running a pipeline. */
 struct compilation_result
 {
@@ -90,6 +93,9 @@ struct compilation_result
    *  are never stored in the compilation cache. */
   bool degraded = false;
   uint32_t degraded_passes = 0u;
+
+  /*! \brief Heap bytes held (IR, reports and strings), by capacity. */
+  size_t heap_bytes() const noexcept;
 };
 
 /*! \brief Called after every pass a run actually executes.
@@ -143,10 +149,6 @@ struct run_plan
    *  (the mid-pipeline IR no longer fingerprints to the original
    *  input); defaults to the structural key of (spec, initial). */
   std::optional<structural_key> cache_key;
-
-  /*! When false, the cache is not probed before executing (the caller
-   *  already did); the result is still stored. */
-  bool lookup = true;
 
   /*! Cooperative cancellation / deadline, polled at every pass
    *  boundary and inside the long pass loops.  An explicit cancel

@@ -36,6 +36,9 @@ public:
 
   explicit qcircuit( uint32_t num_qubits );
 
+  /*! \brief Adopts a built core (e.g. one thawed from a snapshot). */
+  explicit qcircuit( core_type core ) : core_( std::move( core ) ) {}
+
   uint32_t num_qubits() const noexcept { return core_.num_wires(); }
   size_t num_gates() const noexcept { return core_.num_gates(); }
   bool empty() const noexcept { return core_.empty(); }

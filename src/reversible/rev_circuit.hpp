@@ -38,6 +38,9 @@ public:
 
   explicit rev_circuit( uint32_t num_lines );
 
+  /*! \brief Adopts a built core (e.g. one thawed from a snapshot). */
+  explicit rev_circuit( core_type core ) : core_( std::move( core ) ) {}
+
   uint32_t num_lines() const noexcept { return core_.num_wires(); }
   size_t num_gates() const noexcept { return core_.num_gates(); }
   bool empty() const noexcept { return core_.empty(); }

@@ -33,17 +33,25 @@ bool same_job_options( const job_options& a, const job_options& b )
          ( a.deadline.count() == 0 ) == ( b.deadline.count() == 0 );
 }
 
-void set_queue_depth_gauge( size_t depth )
+/*! Sets gauge `name` to `read()`, evaluated only while recording. */
+template<typename Read>
+void set_gauge( const char* name, const Read& read )
 {
 #if QDA_TELEMETRY_ENABLED
   if ( telemetry::enabled() )
   {
-    telemetry::metrics_registry::instance().get_gauge( "server.queue_depth" ).set(
-        static_cast<double>( depth ) );
+    telemetry::metrics_registry::instance().get_gauge( name ).set(
+        static_cast<double>( read() ) );
   }
 #else
-  static_cast<void>( depth );
+  static_cast<void>( name );
+  static_cast<void>( read );
 #endif
+}
+
+void set_queue_depth_gauge( size_t depth )
+{
+  set_gauge( "server.queue_depth", [depth] { return depth; } );
 }
 
 } // namespace
@@ -54,10 +62,9 @@ compile_server::compile_server( server_options options )
       cache_( std::make_shared<sharded_compilation_cache>( options_.cache_shards,
                                                            options_.cache_capacity ) ),
       prefixes_( options_.prefix_shards, options_.prefix_capacity ),
-      manager_( options_.enable_result_cache && options_.cache_capacity > 0u
-                    ? std::shared_ptr<compilation_cache>( cache_ )
-                    : nullptr,
-                registry_ )
+      /* the server probes and fills the result cache itself, so that it
+       * can admit a result without copying it */
+      manager_( std::shared_ptr<compilation_cache>(), registry_ )
 {
   if ( options_.enable_library && !options_.library_path.empty() )
   {
@@ -311,7 +318,6 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
 
   run_plan plan;
   plan.cache_key = job_ptr->key;
-  plan.lookup = false; /* already probed at admission */
   plan.cancel = token;
   plan.policy = job_ptr->opts.policy;
   plan.limits = job_ptr->opts.limits;
@@ -323,7 +329,7 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
     const auto match = prefixes_.find_longest( job_ptr->prefix_keys );
     if ( match.passes > 0u )
     {
-      initial = match.entry->ir; /* snapshot copy; the entry stays shared */
+      initial = match.entry->ir.thaw(); /* the frozen entry stays shared */
       plan.first_pass = match.passes;
       plan.prefix_reports = match.entry->reports;
       for ( const auto& report : plan.prefix_reports )
@@ -354,8 +360,9 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
       try
       {
         QDA_FAILPOINT( "prefix.snapshot" );
-        prefixes_.store( key, prefix_entry{ ir, reports } );
+        prefixes_.store( key, prefix_entry{ frozen_ir( ir ), reports } );
         QDA_COUNT( "server.prefix.snapshot" );
+        set_gauge( "server.prefix.bytes", [this] { return prefixes_.statistics().bytes; } );
       }
       catch ( ... )
       {
@@ -442,6 +449,40 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
   if ( response.retries > 0u )
   {
     job_span.attr( "retries", static_cast<int64_t>( response.retries ) );
+  }
+
+  /* result admission, before the job detaches so that a same-key
+   * submission either coalesces onto this job or finds the entry.
+   * Only executed compiles are sightings (hits and coalesced waiters
+   * are not), and a result is shared with the cache, never copied,
+   * from its key's second sighting on.  Degraded and failed results
+   * are never admitted: a later strict client hashing to the same key
+   * must not receive an unoptimized circuit. */
+  if ( options_.enable_result_cache && options_.cache_capacity > 0u )
+  {
+    const auto sighting = sightings_.observe( job_ptr->key.primary );
+    if ( response.ok() && !response.degraded )
+    {
+      if ( sighting < library::sighting_profile::admit_sighting )
+      {
+        QDA_COUNT( "server.cache.admit_deferred" );
+      }
+      else
+      {
+        try
+        {
+          cache_->store( job_ptr->key, response.result );
+          set_gauge( "server.result_cache.bytes",
+                     [this] { return cache_->statistics().bytes; } );
+        }
+        catch ( ... )
+        {
+          /* memoization is an optimization; a failing backend must not
+           * fail a compilation that already succeeded */
+          QDA_COUNT( "pipeline.cache.store_failed" );
+        }
+      }
+    }
   }
 
   /* completion: detach the job, then fulfill every attached submission */
@@ -572,9 +613,10 @@ std::string format_server_report( const server_statistics& stats )
                  static_cast<unsigned long long>( stats.retried ) );
   out << line;
   std::snprintf( line, sizeof( line ),
-                 "  result cache: %llu entries / %zu shards, %llu hits, %llu misses, "
-                 "%llu evictions (%.1f%% request hit rate)\n",
+                 "  result cache: %llu entries (%.1f KiB) / %zu shards, %llu hits, "
+                 "%llu misses, %llu evictions (%.1f%% request hit rate)\n",
                  static_cast<unsigned long long>( stats.result_cache.entries ),
+                 static_cast<double>( stats.result_cache.bytes ) / 1024.0,
                  stats.result_shards.size(),
                  static_cast<unsigned long long>( stats.result_cache.hits ),
                  static_cast<unsigned long long>( stats.result_cache.misses ),
@@ -583,11 +625,12 @@ std::string format_server_report( const server_statistics& stats )
   out << line;
   std::snprintf( line, sizeof( line ),
                  "  prefix reuse: %llu resumed compiles, %llu passes skipped, "
-                 "%.3f ms of pass time saved, %llu snapshots held\n",
+                 "%.3f ms of pass time saved, %llu snapshots held (%.1f KiB)\n",
                  static_cast<unsigned long long>( stats.prefix_hits ),
                  static_cast<unsigned long long>( stats.prefix_passes_skipped ),
                  stats.prefix_saved_ms,
-                 static_cast<unsigned long long>( stats.prefix_cache.entries ) );
+                 static_cast<unsigned long long>( stats.prefix_cache.entries ),
+                 static_cast<double>( stats.prefix_cache.bytes ) / 1024.0 );
   out << line;
   out << "  " << library::format_library_report( stats.library ) << "\n";
   const auto waits = static_cast<double>( stats.compiled );

@@ -13,10 +13,15 @@
  *   2. a sharded structural-hash result cache
  *      (server/sharded_cache.hpp) keyed on the canonical post-parse
  *      pipeline plus the input IR -- equivalent spec spellings dedup
- *      to one entry;
+ *      to one entry.  A result is admitted on its key's second
+ *      compile (a key-only `library::sighting_profile` counts them;
+ *      hits and coalesced waiters are not sightings) and shared with
+ *      the cache, never copied, so one-shot traffic holds nothing;
  *   3. cross-job pass-prefix reuse (server/prefix_cache.hpp): a job
  *      sharing a leading pass sequence with any prior job resumes
- *      mid-pipeline instead of recompiling from scratch;
+ *      mid-pipeline instead of recompiling from scratch.  Snapshots
+ *      are admitted on first sighting as frozen, byte-packed
+ *      `frozen_ir`s and thawed on resume;
  *   4. request coalescing: identical jobs submitted while one is
  *      queued or in flight attach to it and are served by a single
  *      compilation (batching with the queue residency as the window).
@@ -28,6 +33,7 @@
 
 #include "fault/cancel.hpp"
 #include "fault/error.hpp"
+#include "library/profile.hpp"
 #include "library/subcircuit_library.hpp"
 #include "pipeline/pass_manager.hpp"
 #include "server/prefix_cache.hpp"
@@ -71,14 +77,16 @@ struct server_options
   bool reject_when_full = false;
 
   size_t cache_shards = 16u;
-  size_t cache_capacity = 1024u; /*!< result entries; 0 disables */
+  /*! Result entries; 0 disables.  Only results whose key compiled
+   *  twice are held, so this bounds the repeating working set. */
+  size_t cache_capacity = 1024u;
   size_t prefix_shards = 8u;
-  /*! Snapshot entries; 0 disables.  A job leaves one snapshot per
-   *  proper pipeline prefix (about five for an Eq. (5) spec), so the
-   *  default holds the working set of a few hundred programs served
-   *  under prefix-sharing tails.  This is where a repeated pass input
-   *  is reused first: the library admits a whole rptm/tpar input only
-   *  on its second sighting. */
+  /*! Snapshot entries; 0 disables.  A job leaves one frozen snapshot
+   *  per proper pipeline prefix (about five for an Eq. (5) spec, 2.7
+   *  bytes per held gate at n = 7), so the default holds the working set of
+   *  a few hundred programs served under prefix-sharing tails.  This is
+   *  where a repeated pass input is reused first: the library admits a
+   *  whole rptm/tpar input only on its second sighting. */
   size_t prefix_capacity = 2048u;
 
   bool enable_result_cache = true;
@@ -341,6 +349,8 @@ private:
   server_options options_;
   const pass_registry& registry_;
   std::shared_ptr<sharded_compilation_cache> cache_;
+  /*! Compiles per result key; a result is admitted on its second. */
+  library::sighting_profile sightings_;
   prefix_cache prefixes_;
   pass_manager manager_;
 

@@ -9,6 +9,13 @@
  *  deepest cached snapshot instead of recompiling the shared prefix
  *  from scratch.  Storage is a `sharded_lru`, so snapshot harvesting
  *  and probing scale with the worker pool.
+ *
+ *  Snapshots are admitted on first sighting, so they must be cheap to
+ *  hold: each is a `frozen_ir` (pipeline/ir.hpp) whose circuits are
+ *  byte-packed into immutable allocations (2.4 bytes per Clifford+T gate),
+ *  not a live `staged_ir` copy with handles, tombstones and per-row
+ *  columns (about 35-40).  A resumed job thaws its snapshot and
+ *  compiles exactly as a cold job does.
  */
 #pragma once
 
@@ -24,8 +31,11 @@ namespace qda::server
  *         the reports of the passes that produced it. */
 struct prefix_entry
 {
-  staged_ir ir;
+  frozen_ir ir;
   std::vector<pass_report> reports;
+
+  /*! \brief Heap bytes held: the snapshot plus the reports. */
+  size_t heap_bytes() const noexcept { return ir.heap_bytes() + qda::heap_bytes( reports ); }
 };
 
 /*! \brief What a prefix probe found. */
@@ -72,7 +82,9 @@ public:
     {
       return;
     }
-    map_.insert( key, std::make_shared<const prefix_entry>( std::move( entry ) ) );
+    const auto bytes = entry.heap_bytes();
+    const auto gates = entry.ir.num_gates();
+    map_.insert( key, std::make_shared<const prefix_entry>( std::move( entry ) ), bytes, gates );
   }
 
   bool contains( const structural_key& key ) const { return map_.contains( key ); }

@@ -34,14 +34,15 @@ void sharded_compilation_cache::store( const structural_key& key,
                                        std::shared_ptr<const compilation_result> result )
 {
   QDA_FAILPOINT( "cache.store" );
-  const auto evicted = map_.insert( key, std::move( result ) );
+  const auto bytes = result->heap_bytes();
+  const auto evicted = map_.insert( key, std::move( result ), bytes );
   QDA_COUNT_N( "pipeline.cache.evict", evicted );
 }
 
 cache_statistics sharded_compilation_cache::statistics() const
 {
   const auto total = map_.statistics();
-  return { total.hits, total.misses, total.evictions, total.entries };
+  return { total.hits, total.misses, total.evictions, total.entries, total.bytes };
 }
 
 void sharded_compilation_cache::clear()

@@ -30,6 +30,8 @@ struct shard_statistics
   uint64_t misses = 0u;
   uint64_t evictions = 0u;
   uint64_t entries = 0u;
+  uint64_t bytes = 0u; /*!< heap bytes the held values reported at insert */
+  uint64_t gates = 0u; /*!< gates the held values reported at insert */
 };
 
 /*! \brief Sharded LRU map from `structural_key` to shared values. */
@@ -59,14 +61,14 @@ public:
     auto& shard = shard_of( key );
     std::lock_guard<std::mutex> guard( shard.mutex );
     const auto it = shard.index.find( key.primary );
-    if ( it == shard.index.end() || !( it->second->first == key ) )
+    if ( it == shard.index.end() || !( it->second->key == key ) )
     {
       ++shard.stats.misses;
       return nullptr;
     }
     ++shard.stats.hits;
     shard.order.splice( shard.order.begin(), shard.order, it->second );
-    return it->second->second;
+    return it->second->value;
   }
 
   /*! \brief True when `key` is present; counts nothing, touches nothing
@@ -77,13 +79,16 @@ public:
     const auto& shard = shard_of( key );
     std::lock_guard<std::mutex> guard( shard.mutex );
     const auto it = shard.index.find( key.primary );
-    return it != shard.index.end() && it->second->first == key;
+    return it != shard.index.end() && it->second->key == key;
   }
 
   /*! \brief Inserts (or refreshes) `value`, evicting LRU entries beyond
-   *         the shard capacity.  Returns how many entries were evicted.
+   *         the shard capacity.  `bytes` and `gates` are what the
+   *         value holds; the shard sums them into its statistics.
+   *         Returns how many entries were evicted.
    */
-  size_t insert( const structural_key& key, std::shared_ptr<const Value> value )
+  size_t insert( const structural_key& key, std::shared_ptr<const Value> value,
+                 uint64_t bytes = 0u, uint64_t gates = 0u )
   {
     auto& shard = shard_of( key );
     std::lock_guard<std::mutex> guard( shard.mutex );
@@ -94,17 +99,22 @@ public:
     const auto it = shard.index.find( key.primary );
     if ( it != shard.index.end() )
     {
-      it->second->first = key;
-      it->second->second = std::move( value );
+      shard.stats.bytes += bytes - it->second->bytes;
+      shard.stats.gates += gates - it->second->gates;
+      *it->second = { key, std::move( value ), bytes, gates };
       shard.order.splice( shard.order.begin(), shard.order, it->second );
       return 0u;
     }
-    shard.order.emplace_front( key, std::move( value ) );
+    shard.order.push_front( { key, std::move( value ), bytes, gates } );
     shard.index.emplace( key.primary, shard.order.begin() );
+    shard.stats.bytes += bytes;
+    shard.stats.gates += gates;
     size_t evicted = 0u;
     while ( shard.order.size() > shard.capacity )
     {
-      shard.index.erase( shard.order.back().first.primary );
+      shard.index.erase( shard.order.back().key.primary );
+      shard.stats.bytes -= shard.order.back().bytes;
+      shard.stats.gates -= shard.order.back().gates;
       shard.order.pop_back();
       ++shard.stats.evictions;
       ++evicted;
@@ -137,6 +147,8 @@ public:
       total.misses += stats.misses;
       total.evictions += stats.evictions;
       total.entries += stats.entries;
+      total.bytes += stats.bytes;
+      total.gates += stats.gates;
     }
     return total;
   }
@@ -155,11 +167,19 @@ public:
   }
 
 private:
+  struct entry
+  {
+    structural_key key;
+    std::shared_ptr<const Value> value;
+    uint64_t bytes = 0u;
+    uint64_t gates = 0u;
+  };
+
   struct shard
   {
     mutable std::mutex mutex;
     size_t capacity = 0u;
-    std::list<std::pair<structural_key, std::shared_ptr<const Value>>> order;
+    std::list<entry> order;
     std::unordered_map<uint64_t, typename decltype( order )::iterator> index;
     shard_statistics stats;
   };

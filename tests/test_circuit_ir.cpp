@@ -1,9 +1,11 @@
 /*! \file test_circuit_ir.cpp
  *  \brief The unified gate-graph IR: handles, tombstones, rewriter,
- *         zero-copy views and the `circuit_cast` lowering hook.
+ *         zero-copy views, the `circuit_cast` lowering hook and frozen
+ *         (byte-packed) snapshots.
  */
 #include "circuit/circuit.hpp"
 #include "circuit/circuit_cast.hpp"
+#include "circuit/frozen_circuit.hpp"
 #include "kernel/bits.hpp"
 #include "mapping/clifford_t.hpp"
 #include "optimization/peephole.hpp"
@@ -16,6 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <numbers>
 #include <random>
 
 namespace qda
@@ -312,6 +318,212 @@ TEST( circuit_ir_test, prepend_keeps_existing_handles_valid )
   EXPECT_EQ( circuit.gate( 0u ), rev_gate::not_gate( 0u ) );
   EXPECT_EQ( circuit.core().slot_of( first ), 1u );
   EXPECT_EQ( circuit.core()[first], rev_gate::cnot( 0u, 1u ) );
+}
+
+/* ---------------- frozen snapshots ---------------- */
+
+using frozen_cliffordt = ir::frozen_circuit<ir::cliffordt_policy>;
+using frozen_mct = ir::frozen_circuit<ir::mct_policy>;
+
+/*! Seeded random rows over every gate kind, appended unchecked (the
+ *  codec must round-trip any row the columns can hold). */
+qcircuit random_quantum_circuit( uint32_t num_wires, size_t num_gates, uint64_t seed )
+{
+  std::mt19937_64 rng( seed );
+  const auto wire = [&] { return static_cast<uint32_t>( rng() % num_wires ); };
+  const auto distinct_wires = [&]( size_t count ) {
+    count = std::min<size_t>( count, num_wires );
+    std::vector<uint32_t> wires;
+    while ( wires.size() < count )
+    {
+      const auto w = wire();
+      if ( std::find( wires.begin(), wires.end(), w ) == wires.end() )
+      {
+        wires.push_back( w );
+      }
+    }
+    return wires;
+  };
+  const double angles[] = { -0.0,    0.0,    std::numbers::pi / 4.0, -1.0e-300,
+                            3.0e17, std::nextafter( 1.0, 2.0 ) };
+  qcircuit circuit( num_wires );
+  for ( size_t i = 0u; i < num_gates; ++i )
+  {
+    qgate gate;
+    constexpr uint32_t num_kinds = static_cast<uint32_t>( gate_kind::global_phase ) + 1u;
+    gate.kind = static_cast<gate_kind>( rng() % num_kinds );
+    switch ( gate.kind )
+    {
+    case gate_kind::cx:
+    case gate_kind::cz:
+    {
+      const auto wires = distinct_wires( 2u );
+      gate.controls = { wires[0] };
+      gate.target = wires[1];
+      break;
+    }
+    case gate_kind::mcx:
+    case gate_kind::mcz:
+    {
+      auto wires = distinct_wires( 2u + rng() % 4u );
+      gate.target = wires.back();
+      wires.pop_back();
+      gate.controls = wires;
+      break;
+    }
+    case gate_kind::swap:
+    {
+      const auto wires = distinct_wires( 2u );
+      gate.target = wires[0];
+      gate.target2 = wires[1];
+      break;
+    }
+    case gate_kind::rx:
+    case gate_kind::ry:
+    case gate_kind::rz:
+    case gate_kind::global_phase:
+      gate.target = wire();
+      gate.angle = rng() % 2u == 0u ? angles[rng() % std::size( angles )]
+                                     : std::ldexp( static_cast<double>( rng() >> 11u ), -40 );
+      break;
+    case gate_kind::measure:
+      gate.target = wire();
+      gate.target2 = wire(); /* classical bit */
+      break;
+    default:
+      gate.target = wire();
+      break;
+    }
+    circuit.core().append( gate );
+  }
+  return circuit;
+}
+
+uint64_t angle_bits( const qcircuit& circuit, uint32_t slot )
+{
+  return std::bit_cast<uint64_t>( circuit.core().columns().angle_of( slot ) );
+}
+
+/*! thaw(freeze(c)) == c, gate count equal and every angle bit-identical
+ *  (the thawed circuit is compacted, so its slot i is c's i-th alive row). */
+void expect_round_trip( const qcircuit& circuit )
+{
+  const auto frozen = frozen_cliffordt::freeze( circuit.core() );
+  const qcircuit thawed( frozen.thaw() );
+  ASSERT_EQ( frozen.num_gates(), circuit.num_gates() );
+  ASSERT_EQ( thawed.num_gates(), circuit.num_gates() );
+  EXPECT_EQ( thawed.num_qubits(), circuit.num_qubits() );
+  EXPECT_TRUE( thawed == circuit );
+  EXPECT_EQ( thawed.core().num_tombstones(), 0u );
+  uint32_t slot = 0u;
+  for ( auto it = circuit.gates().begin(); it != circuit.gates().end(); ++it, ++slot )
+  {
+    ASSERT_EQ( angle_bits( thawed, slot ), angle_bits( circuit, it.slot() ) ) << "row " << slot;
+    ASSERT_EQ( thawed.core().columns().angle_index[slot] == ir::npos,
+               circuit.core().columns().angle_index[it.slot()] == ir::npos );
+    EXPECT_EQ( thawed.core().slot_of( thawed.core().handle_at_slot( slot ) ), slot );
+  }
+}
+
+TEST( frozen_circuit_test, random_circuits_round_trip_over_every_gate_kind )
+{
+  for ( uint64_t seed = 1u; seed <= 20u; ++seed )
+  {
+    SCOPED_TRACE( seed );
+    const auto wires = 6u + static_cast<uint32_t>( seed % 9u );
+    expect_round_trip( random_quantum_circuit( wires, 400u, seed ) );
+  }
+  expect_round_trip( qcircuit( 5u ) ); /* empty */
+}
+
+TEST( frozen_circuit_test, uncommitted_tombstones_and_stranded_operands_are_skipped )
+{
+  for ( uint64_t seed = 1u; seed <= 10u; ++seed )
+  {
+    SCOPED_TRACE( seed );
+    auto circuit = random_quantum_circuit( 8u, 300u, 100u + seed );
+    std::mt19937_64 rng( seed );
+    auto rewriter = circuit.rewrite();
+    for ( uint32_t slot = 0u; slot < circuit.core().num_slots(); ++slot )
+    {
+      if ( rng() % 3u == 0u )
+      {
+        rewriter.erase_slot( slot );
+      }
+      else if ( rng() % 5u == 0u )
+      {
+        /* a shrinking replace strands slab entries */
+        qgate h;
+        h.kind = gate_kind::h;
+        h.target = slot % 8u;
+        rewriter.replace_slot( slot, h );
+      }
+    }
+    ASSERT_GT( circuit.core().num_tombstones(), 0u );
+    expect_round_trip( circuit ); /* before the rewriter commits */
+  }
+}
+
+TEST( frozen_circuit_test, operand_width_follows_the_widest_wire )
+{
+  const auto narrow = random_quantum_circuit( 256u, 500u, 7u );
+  const auto wide = random_quantum_circuit( 300u, 500u, 8u );
+  const auto huge = random_quantum_circuit( 70000u, 200u, 9u );
+  EXPECT_EQ( frozen_cliffordt::freeze( narrow.core() ).width(), 1u );
+  EXPECT_EQ( frozen_cliffordt::freeze( wide.core() ).width(), 2u );
+  EXPECT_EQ( frozen_cliffordt::freeze( huge.core() ).width(), 4u );
+  expect_round_trip( narrow );
+  expect_round_trip( wide );
+  expect_round_trip( huge );
+}
+
+TEST( frozen_circuit_test, lowered_clifford_t_costs_under_three_bytes_per_gate )
+{
+  std::mt19937_64 rng( 11u );
+  rev_circuit mct( 8u );
+  for ( int i = 0; i < 200; ++i )
+  {
+    const auto target = static_cast<uint32_t>( rng() % 8u );
+    const auto controls = ( rng() & 0xFFu ) & ~( uint64_t{ 1 } << target );
+    mct.add_gate( rev_gate( controls, controls & rng(), target ) );
+  }
+  const auto lowered = map_to_clifford_t( mct ).circuit;
+  const auto frozen = frozen_cliffordt::freeze( lowered.core() );
+  ASSERT_GT( frozen.num_gates(), 1000u );
+  EXPECT_LE( static_cast<double>( frozen.bytes() ) / static_cast<double>( frozen.num_gates() ),
+             3.0 );
+  EXPECT_TRUE( qcircuit( frozen.thaw() ) == lowered );
+}
+
+TEST( frozen_circuit_test, mct_circuits_round_trip_with_tombstones )
+{
+  for ( uint32_t lines : { 3u, 8u, 9u, 40u, 64u } )
+  {
+    SCOPED_TRACE( lines );
+    std::mt19937_64 rng( lines );
+    rev_circuit circuit( lines );
+    for ( int i = 0; i < 300; ++i )
+    {
+      const auto target = static_cast<uint32_t>( rng() % lines );
+      const uint64_t lines_mask = lines == 64u ? ~uint64_t{ 0 } : ( uint64_t{ 1 } << lines ) - 1u;
+      const auto controls = rng() & lines_mask & ~( uint64_t{ 1 } << target );
+      circuit.add_gate( rev_gate( controls, controls & rng(), target ) );
+    }
+    auto rewriter = circuit.rewrite();
+    for ( uint32_t slot = 0u; slot < circuit.core().num_slots(); slot += 3u )
+    {
+      rewriter.erase_slot( slot );
+    }
+    const auto frozen = frozen_mct::freeze( circuit.core() );
+    const rev_circuit thawed( frozen.thaw() );
+    EXPECT_EQ( thawed.num_gates(), circuit.num_gates() );
+    EXPECT_EQ( thawed.num_lines(), lines );
+    EXPECT_TRUE( thawed == circuit );
+    if ( lines <= 8u )
+    {
+      EXPECT_EQ( frozen.bytes(), 3u * frozen.num_gates() );
+    }
+  }
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /*! \file test_compile_server.cpp
  *  \brief Compile server core: sharded LRU storage, job queue +
- *         admission control, structural-hash dedup, coalescing,
- *         cross-job prefix reuse, and multi-threaded exactness.
+ *         admission control, structural-hash dedup, second-sighting
+ *         result admission, coalescing, cross-job prefix reuse, and
+ *         multi-threaded exactness.
  *
  *  The concurrency tests here are the ThreadSanitizer targets of the
  *  `sanitize (tsan)` CI job.
@@ -54,6 +55,25 @@ TEST( sharded_lru_test, evicts_least_recently_used_and_counts )
   EXPECT_EQ( stats.entries, 2u );
   EXPECT_EQ( stats.hits, 3u );
   EXPECT_EQ( stats.misses, 1u );
+}
+
+TEST( sharded_lru_test, held_bytes_and_gates_follow_inserts_and_evictions )
+{
+  sharded_lru<int> map( /*num_shards=*/1u, /*capacity=*/2u );
+  map.insert( key_of( 1u ), std::make_shared<const int>( 1 ), 100u, 10u );
+  map.insert( key_of( 2u ), std::make_shared<const int>( 2 ), 200u, 20u );
+  EXPECT_EQ( map.statistics().bytes, 300u );
+  EXPECT_EQ( map.statistics().gates, 30u );
+
+  map.insert( key_of( 2u ), std::make_shared<const int>( 2 ), 50u, 5u ); /* refresh */
+  EXPECT_EQ( map.statistics().bytes, 150u );
+  map.insert( key_of( 3u ), std::make_shared<const int>( 3 ), 7u, 1u ); /* evicts 1 */
+  EXPECT_EQ( map.statistics().bytes, 57u );
+  EXPECT_EQ( map.statistics().gates, 6u );
+
+  map.clear();
+  EXPECT_EQ( map.statistics().bytes, 0u );
+  EXPECT_EQ( map.statistics().gates, 0u );
 }
 
 TEST( sharded_lru_test, per_shard_counters_sum_to_aggregate )
@@ -144,15 +164,21 @@ TEST( compile_server_test, equivalent_spellings_dedup_to_one_entry )
   const auto first = server.submit( "revgen --hwb 4; tbs; revsimp" ).get();
   EXPECT_FALSE( first.cache_hit );
 
-  /* same pipeline, messy spelling: extra whitespace, empty segments */
+  /* same pipeline, messy spelling: extra whitespace, empty segments.
+   * It is the key's second sighting, so it compiles and is admitted */
   const auto messy = server.submit( " revgen  --hwb 4 ;; tbs ;\n revsimp " ).get();
-  EXPECT_TRUE( messy.cache_hit );
-  EXPECT_EQ( messy.result->ir.require_reversible().num_gates(),
+  EXPECT_FALSE( messy.cache_hit );
+  EXPECT_EQ( server.statistics().result_cache.entries, 1u );
+
+  /* a third spelling hits the entry all three share */
+  const auto third = server.submit( "revgen --hwb 4 ;tbs;revsimp" ).get();
+  EXPECT_TRUE( third.cache_hit );
+  EXPECT_EQ( third.result->ir.require_reversible().num_gates(),
              first.result->ir.require_reversible().num_gates() );
 
   const auto stats = server.statistics();
   EXPECT_EQ( stats.cache_hits, 1u );
-  EXPECT_EQ( stats.compiled, 1u );
+  EXPECT_EQ( stats.compiled, 2u );
   EXPECT_EQ( stats.result_cache.entries, 1u );
 }
 
@@ -167,10 +193,12 @@ TEST( compile_server_test, exact_text_keying_misses_on_respelling )
   /* identical pipeline, different spelling: the ablation keying cannot
    * see through it, demonstrating why the structural key exists */
   EXPECT_FALSE( server.submit( " revgen  --hwb 4 ;; tbs ;\n revsimp " ).get().cache_hit );
+  /* the first spelling's second sighting is admitted, its third hits */
+  EXPECT_FALSE( server.submit( "revgen --hwb 4; tbs; revsimp" ).get().cache_hit );
   EXPECT_TRUE( server.submit( "revgen --hwb 4; tbs; revsimp" ).get().cache_hit );
 
   const auto stats = server.statistics();
-  EXPECT_EQ( stats.compiled, 2u );
+  EXPECT_EQ( stats.compiled, 3u );
   EXPECT_EQ( stats.cache_hits, 1u );
 }
 
@@ -202,6 +230,14 @@ struct compile_server_telemetry_test : ::testing::Test
     const auto it = std::find_if( snapshot.counters.begin(), snapshot.counters.end(),
                                   [&]( const auto& c ) { return c.first == name; } );
     return it == snapshot.counters.end() ? 0u : it->second;
+  }
+
+  static double gauge_value( const std::string& name )
+  {
+    const auto snapshot = telemetry::metrics_registry::instance().snapshot();
+    const auto it = std::find_if( snapshot.gauges.begin(), snapshot.gauges.end(),
+                                  [&]( const auto& g ) { return g.first == name; } );
+    return it == snapshot.gauges.end() ? -1.0 : it->second;
   }
 };
 
@@ -243,6 +279,21 @@ TEST_F( compile_server_telemetry_test, sibling_pipelines_resume_from_shared_pref
   EXPECT_GT( stats.prefix_cache.entries, 0u );
   /* 6 cold passes + 2 executed on the resumed run */
   EXPECT_EQ( stats.passes_executed, 8u );
+
+  /* both results were first sightings: deferred, not admitted; the
+   * byte gauges track what each cache holds */
+  EXPECT_EQ( counter_value( "server.cache.admit_deferred" ), 2u );
+  EXPECT_EQ( stats.result_cache.entries, 0u );
+  EXPECT_GT( stats.prefix_cache.bytes, 0u );
+  EXPECT_EQ( gauge_value( "server.prefix.bytes" ),
+             static_cast<double>( stats.prefix_cache.bytes ) );
+
+  server.submit( sibling_spec ).get(); /* second sighting: admitted */
+  const auto admitted = server.statistics().result_cache;
+  EXPECT_EQ( admitted.entries, 1u );
+  EXPECT_GT( admitted.bytes, 0u );
+  EXPECT_EQ( gauge_value( "server.result_cache.bytes" ), static_cast<double>( admitted.bytes ) );
+  EXPECT_NE( format_server_report( server.statistics() ).find( "KiB" ), std::string::npos );
 }
 
 TEST( compile_server_test, default_prefix_cache_holds_a_serving_working_set )
@@ -265,6 +316,35 @@ TEST( compile_server_test, default_prefix_cache_holds_a_serving_working_set )
   const auto stats = server.statistics();
   EXPECT_EQ( stats.prefix_hits, programs );
   EXPECT_EQ( stats.prefix_passes_skipped, 4u * programs );
+}
+
+TEST( compile_server_test, one_shot_traffic_holds_no_results_and_packed_snapshots )
+{
+  /* 200 distinct Eq. (5) programs, each seen once: nothing can hit the
+   * result cache, so nothing is admitted to it.  The prefix cache keeps
+   * every snapshot (first-sighting admission), each frozen.  Both are
+   * work counters: what the caches hold, not process RSS. */
+  server_options options;
+  options.num_workers = 1u;
+  compile_server server( options );
+  constexpr uint32_t programs = 200u;
+  for ( uint32_t seed = 1u; seed <= programs; ++seed )
+  {
+    ASSERT_TRUE( server.submit( "revgen --random 7 --seed " + std::to_string( seed ) +
+                                "; tbs; revsimp; rptm; tpar; ps" )
+                     .get()
+                     .ok() );
+  }
+
+  const auto stats = server.statistics();
+  EXPECT_EQ( stats.compiled, programs );
+  EXPECT_EQ( stats.result_cache.entries, 0u );
+  EXPECT_EQ( stats.result_cache.bytes, 0u );
+  EXPECT_EQ( stats.prefix_cache.entries, 5u * programs );
+  ASSERT_GT( stats.prefix_cache.gates, 0u );
+  EXPECT_LE( static_cast<double>( stats.prefix_cache.bytes ) /
+                 static_cast<double>( stats.prefix_cache.gates ),
+             3.0 );
 }
 
 TEST( compile_server_test, prefix_reuse_can_be_disabled )
@@ -356,6 +436,96 @@ TEST( compile_server_test, identical_inflight_jobs_coalesce_into_one_compile )
   EXPECT_EQ( stats.compiled, 1u );
   EXPECT_EQ( stats.coalesced, 2u );
   EXPECT_EQ( stats.completed, 3u );
+}
+
+TEST( compile_server_test, coalesced_waiters_are_not_sightings )
+{
+  gate_control gate;
+  const auto registry = make_gated_registry( gate );
+  server_options options;
+  options.num_workers = 1u;
+  options.registry = &registry;
+  compile_server server( options );
+
+  auto first = server.submit( "revgen --hwb 3; gate" );
+  gate.wait_for_start( 1u );
+  auto second = server.submit( "revgen --hwb 3; gate" );
+  auto third = server.submit( " revgen  --hwb 3 ; gate " );
+  gate.open();
+  first.get();
+  EXPECT_TRUE( second.get().coalesced );
+  EXPECT_TRUE( third.get().coalesced );
+  /* three waiters, one compile: one sighting, nothing admitted */
+  EXPECT_EQ( server.statistics().result_cache.entries, 0u );
+
+  /* the next submission is the second sighting: compiled and admitted */
+  EXPECT_FALSE( server.submit( "revgen --hwb 3; gate" ).get().cache_hit );
+  EXPECT_EQ( server.statistics().result_cache.entries, 1u );
+  EXPECT_TRUE( server.submit( "revgen --hwb 3; gate" ).get().cache_hit );
+  EXPECT_EQ( server.statistics().compiled, 2u );
+}
+
+TEST( compile_server_test, failed_and_degraded_results_are_never_admitted )
+{
+  pass_registry registry;
+  register_builtin_passes( registry );
+  pass_info broken;
+  broken.name = "broken";
+  broken.summary = "degradable test pass that always throws";
+  broken.accepts = { stage::permutation };
+  broken.produces = stage::permutation;
+  broken.degradable = true;
+  broken.run = []( staged_ir&, const pass_arguments&, const pass_context& ) {
+    throw std::runtime_error( "broken pass" );
+  };
+  registry.register_pass( std::move( broken ) );
+
+  server_options options;
+  options.num_workers = 1u;
+  options.registry = &registry;
+  compile_server server( options );
+
+  /* failed: a gate budget the circuit exceeds */
+  job_options tight;
+  tight.limits.max_gates = 1u;
+  for ( int round = 0; round < 3; ++round )
+  {
+    const auto response = server.submit( eq5, tight ).get();
+    EXPECT_EQ( response.code, error_code::resource_exhausted );
+    EXPECT_FALSE( response.cache_hit );
+  }
+
+  /* degraded: the broken pass is skipped under the degrade policy */
+  job_options degrade;
+  degrade.policy = failure_policy::degrade;
+  for ( int round = 0; round < 3; ++round )
+  {
+    const auto response = server.submit( "revgen --hwb 3; broken", degrade ).get();
+    EXPECT_TRUE( response.ok() );
+    EXPECT_TRUE( response.degraded );
+    EXPECT_FALSE( response.cache_hit );
+  }
+
+  const auto stats = server.statistics();
+  EXPECT_EQ( stats.cache_hits, 0u );
+  EXPECT_EQ( stats.result_cache.entries, 0u );
+  EXPECT_EQ( stats.result_cache.bytes, 0u );
+}
+
+TEST( compile_server_test, zero_cache_capacity_disables_the_result_cache )
+{
+  server_options options;
+  options.num_workers = 1u;
+  options.cache_capacity = 0u;
+  compile_server server( options );
+  for ( int round = 0; round < 3; ++round )
+  {
+    EXPECT_FALSE( server.submit( eq5 ).get().cache_hit );
+  }
+  const auto stats = server.statistics();
+  EXPECT_EQ( stats.compiled, 3u );
+  EXPECT_EQ( stats.result_cache.entries, 0u );
+  EXPECT_EQ( stats.result_cache.hits + stats.result_cache.misses, 0u );
 }
 
 TEST( compile_server_test, overfull_queue_rejects_when_configured )
@@ -497,10 +667,11 @@ TEST( compile_server_test, stress_eight_submitters_exact_accounting )
   EXPECT_EQ( stats.failed, 0u );
   EXPECT_EQ( stats.rejected, 0u );
 
-  /* exactness: every unique pipeline compiles exactly once -- racing
-   * duplicates either hit the cache or coalesce onto the in-flight job */
-  EXPECT_EQ( stats.compiled, unique.size() );
-  EXPECT_EQ( stats.cache_hits + stats.coalesced, total - unique.size() );
+  /* exactness: every unique pipeline compiles exactly twice (its result
+   * is admitted on the second sighting) -- racing duplicates either hit
+   * the cache or coalesce onto the in-flight job */
+  EXPECT_EQ( stats.compiled, 2u * unique.size() );
+  EXPECT_EQ( stats.cache_hits + stats.coalesced, total - 2u * unique.size() );
 
   /* backend accounting: each submission probes the cache exactly once;
    * the probes that miss are the compiles and the coalesced attaches */

@@ -511,5 +511,100 @@ TEST( flow_shim_test, flow_and_spec_pipeline_agree_on_random_permutation )
   EXPECT_TRUE( fluent.verify() );
 }
 
+
+/* ---------------- resuming from frozen snapshots ---------------- */
+
+/*! The perfbench tails: compile-cold's four and serve-zipf's four. */
+const std::vector<std::string> snapshot_tails = {
+  "tbs; revsimp; rptm; tpar; ps",
+  "dbs; revsimp; rptm; tpar; ps",
+  "tbs; revsimp; rptm; peephole; ps",
+  "tbs; revsimp; rptm --cost-target ibm_qx5; tpar; route --device ibm_qx5; ps",
+  "tbs; revsimp; rptm; ps",
+  "tbs; revsimp; rptm; tpar; peephole; ps",
+};
+
+void expect_same_program( const staged_ir& resumed, const staged_ir& cold )
+{
+  ASSERT_EQ( resumed.current, cold.current );
+  EXPECT_TRUE( resumed.current_circuit() == cold.current_circuit() );
+  EXPECT_EQ( resumed.require_quantum().num_helper_qubits,
+             cold.require_quantum().num_helper_qubits );
+  ASSERT_EQ( resumed.mapped.has_value(), cold.mapped.has_value() );
+  if ( cold.mapped )
+  {
+    EXPECT_EQ( resumed.mapped->initial_layout, cold.mapped->initial_layout );
+    EXPECT_EQ( resumed.mapped->final_layout, cold.mapped->final_layout );
+    EXPECT_EQ( resumed.mapped->added_swaps, cold.mapped->added_swaps );
+  }
+  ASSERT_TRUE( resumed.last_statistics && cold.last_statistics );
+  EXPECT_EQ( resumed.last_statistics->t_count, cold.last_statistics->t_count );
+  EXPECT_EQ( resumed.last_statistics->cnot_count, cold.last_statistics->cnot_count );
+}
+
+TEST( frozen_ir_test, resumed_from_every_snapshot_equals_cold_gate_for_gate )
+{
+  pass_manager manager( /*enable_cache=*/false );
+  for ( uint32_t n = 5u; n <= 7u; ++n )
+  {
+    for ( size_t t = 0u; t < snapshot_tails.size(); ++t )
+    {
+      const auto spec = parse_pipeline( "revgen --random " + std::to_string( n ) + " --seed " +
+                                        std::to_string( 97u * n + t ) + "; " + snapshot_tails[t] );
+      SCOPED_TRACE( spec.to_string() );
+
+      /* cold, library off: the reference; snapshots frozen at each
+       * proper prefix, as the compile server takes them */
+      std::vector<std::pair<frozen_ir, std::vector<pass_report>>> snapshots;
+      run_plan cold_plan;
+      cold_plan.use_library = false;
+      const auto cold = manager.run( spec, staged_ir{}, cold_plan,
+                                     [&]( size_t pass_index, const staged_ir& ir,
+                                          const std::vector<pass_report>& reports ) {
+                                       if ( pass_index + 1u < spec.size() )
+                                       {
+                                         snapshots.emplace_back( frozen_ir( ir ), reports );
+                                       }
+                                     } );
+      ASSERT_EQ( snapshots.size(), spec.size() - 1u );
+
+      for ( const bool use_library : { false, true } )
+      {
+        for ( size_t len = 1u; len < spec.size(); ++len )
+        {
+          SCOPED_TRACE( "library " + std::to_string( use_library ) + ", resumed after " +
+                        std::to_string( len ) + " passes" );
+          run_plan plan;
+          plan.first_pass = len;
+          plan.cache_key = compute_structural_key( spec, staged_ir{} );
+          plan.prefix_reports = snapshots[len - 1u].second;
+          plan.use_library = use_library;
+          const auto resumed = manager.run( spec, snapshots[len - 1u].first.thaw(), plan );
+          EXPECT_EQ( resumed.reused_passes, len );
+          expect_same_program( resumed.ir, cold.ir );
+        }
+      }
+    }
+  }
+}
+
+TEST( frozen_ir_test, thaw_restores_every_stage_artifact )
+{
+  const auto result = pass_manager( false ).run(
+      "revgen --random 5 --seed 3; tbs; rptm; route --device ibm_qx5; ps" );
+  const frozen_ir frozen( result.ir );
+  const auto thawed = frozen.thaw();
+  EXPECT_EQ( thawed.current, result.ir.current );
+  EXPECT_EQ( thawed.target_permutation, result.ir.target_permutation );
+  EXPECT_TRUE( *thawed.reversible == *result.ir.reversible );
+  EXPECT_TRUE( thawed.quantum->circuit == result.ir.quantum->circuit );
+  EXPECT_TRUE( thawed.mapped->circuit == result.ir.mapped->circuit );
+  EXPECT_EQ( thawed.mapped->final_layout, result.ir.mapped->final_layout );
+  EXPECT_EQ( frozen.num_gates(), result.ir.reversible->num_gates() +
+                                     result.ir.quantum->circuit.num_gates() +
+                                     result.ir.mapped->circuit.num_gates() );
+  EXPECT_LT( frozen.heap_bytes(), result.ir.heap_bytes() / 8u );
+}
+
 } // namespace
 } // namespace qda
