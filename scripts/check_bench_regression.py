@@ -12,7 +12,11 @@ exactly: any T, CNOT or gate count above the baseline's fails, with no
 tolerance.  The same holds for the work counters of bench_serve's
 one-shot row (WORK_CEILINGS): one-shot traffic must leave no result
 entries, and the prefix cache's bytes per held gate may not rise more
-than 1% above the baseline nor above an absolute ceiling.
+than 1% above the baseline nor above an absolute ceiling.  Routing
+output is pinned gate for gate, so every BENCH_map.json routing row
+(workload, device, router) must repeat its swaps, direction fixes,
+CNOT count, T count and depth exactly: a change in either direction
+fails until the baseline is re-taken.
 
 Usage:
     scripts/check_bench_regression.py \
@@ -176,6 +180,28 @@ def tpar_count_checks(baseline_dir, current_dir):
                            counts[count], fresh[variant][count])
 
 
+def routing_count_checks(baseline_dir, current_dir):
+    """Yields (name, baseline, current) for every count of every
+    BENCH_map.json routing row present in both runs."""
+    baseline = load(os.path.join(baseline_dir, "BENCH_map.json"))
+    current = load(os.path.join(current_dir, "BENCH_map.json"))
+    if baseline is None or current is None:
+        return
+
+    def key(row):
+        return (row["workload"], row["device"], row["router"])
+
+    current_rows = {key(row): row for row in current.get("routing", [])}
+    for row in baseline.get("routing", []):
+        name = "map.routing." + ".".join(key(row))
+        fresh = current_rows.get(key(row))
+        if fresh is None:
+            print(f"skip  {name}: not in current run")
+            continue
+        for count in ("swaps", "direction_fixes", "cnot", "t", "depth"):
+            yield (f"{name}.{count}", row[count], fresh.get(count))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir", default=".",
@@ -251,16 +277,27 @@ def main():
             failures.append(name)
         print(f"{status}{name}: baseline {base_value} -> current {cur_value} (must not rise)")
 
+    for name, base_value, cur_value in routing_count_checks(args.baseline_dir,
+                                                            args.current_dir):
+        checked += 1
+        status = "ok   "
+        if cur_value != base_value:
+            status = "FAIL "
+            failures.append(name)
+        print(f"{status}{name}: baseline {base_value} -> current {cur_value} (must not move)")
+
     if checked == 0:
         print("error: baseline and current runs share no metrics")
         return 2
     if failures:
         print(f"\n{len(failures)} metric(s) regressed (ratios by more than "
-              f"{args.tolerance:.0%}, tpar counts at all, work counters past their ceilings): "
+              f"{args.tolerance:.0%}, tpar counts at all, routing counts in either direction, "
+              f"work counters past their ceilings): "
               f"{', '.join(failures)}")
         return 1
     print(f"\nall {checked} enforced metric(s) hold (ratios within {args.tolerance:.0%}, "
-          f"tpar counts not above baseline, work counters under their ceilings)")
+          f"tpar counts not above baseline, routing counts exact, work counters under "
+          f"their ceilings)")
     return 0
 
 

@@ -10,7 +10,7 @@ namespace qda
 coupling_map::coupling_map( uint32_t num_qubits,
                             std::vector<std::pair<uint32_t, uint32_t>> edges, std::string name )
     : num_qubits_( num_qubits ), edges_( std::move( edges ) ), name_( std::move( name ) ),
-      neighbours_( num_qubits )
+      neighbours_( num_qubits ), pairs_( static_cast<size_t>( num_qubits ) * num_qubits, 0u )
 {
   for ( const auto& [control, target] : edges_ )
   {
@@ -18,22 +18,24 @@ coupling_map::coupling_map( uint32_t num_qubits,
     {
       throw std::invalid_argument( "coupling_map: invalid edge" );
     }
-    if ( !std::count( neighbours_[control].begin(), neighbours_[control].end(), target ) )
+    if ( !( pairs_[pair_index( control, target )] & coupled_bit ) )
     {
       neighbours_[control].push_back( target );
       neighbours_[target].push_back( control );
     }
+    pairs_[pair_index( control, target )] |= directed_bit | coupled_bit;
+    pairs_[pair_index( target, control )] |= coupled_bit;
   }
 }
 
 bool coupling_map::has_directed_edge( uint32_t control, uint32_t target ) const
 {
-  return std::find( edges_.begin(), edges_.end(), std::pair{ control, target } ) != edges_.end();
+  return ( pair_bits( control, target ) & directed_bit ) != 0u;
 }
 
 bool coupling_map::are_adjacent( uint32_t a, uint32_t b ) const
 {
-  return std::count( neighbours_[a].begin(), neighbours_[a].end(), b ) != 0u;
+  return ( pair_bits( a, b ) & coupled_bit ) != 0u;
 }
 
 std::vector<uint32_t> coupling_map::shortest_path( uint32_t from, uint32_t to ) const
@@ -88,14 +90,13 @@ uint32_t coupling_map::distance( uint32_t from, uint32_t to ) const
   return static_cast<uint32_t>( path.size() - 1u );
 }
 
-std::vector<std::vector<uint32_t>> coupling_map::all_distances() const
+std::vector<uint32_t> coupling_map::all_distances() const
 {
-  std::vector<std::vector<uint32_t>> distances( num_qubits_,
-                                                std::vector<uint32_t>( num_qubits_,
-                                                                       num_qubits_ ) );
+  std::vector<uint32_t> distances( static_cast<size_t>( num_qubits_ ) * num_qubits_,
+                                   num_qubits_ );
   for ( uint32_t source = 0u; source < num_qubits_; ++source )
   {
-    auto& row = distances[source];
+    auto* row = distances.data() + static_cast<size_t>( source ) * num_qubits_;
     row[source] = 0u;
     std::deque<uint32_t> queue{ source };
     while ( !queue.empty() )
@@ -121,18 +122,13 @@ void coupling_map::add_swap_edge( uint32_t a, uint32_t b )
   {
     throw std::invalid_argument( "coupling_map: swap edge between non-adjacent qubits" );
   }
-  if ( !has_swap_edge( a, b ) )
-  {
-    swap_edges_.emplace_back( a, b );
-  }
+  pairs_[pair_index( a, b )] |= swap_bit;
+  pairs_[pair_index( b, a )] |= swap_bit;
 }
 
 bool coupling_map::has_swap_edge( uint32_t a, uint32_t b ) const
 {
-  return std::find( swap_edges_.begin(), swap_edges_.end(), std::pair{ a, b } ) !=
-             swap_edges_.end() ||
-         std::find( swap_edges_.begin(), swap_edges_.end(), std::pair{ b, a } ) !=
-             swap_edges_.end();
+  return ( pair_bits( a, b ) & swap_bit ) != 0u;
 }
 
 coupling_map coupling_map::with_native_swaps() const

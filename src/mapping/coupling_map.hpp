@@ -7,9 +7,14 @@
  *  (mapping/router.hpp) consumes these maps to legalize circuits before
  *  they are "executed" on the noisy device model (the paper's Fig. 6
  *  experiment ran on the 5-qubit IBM QX chip).
+ *
+ *  Pair queries (`has_directed_edge`, `are_adjacent`, `has_swap_edge`)
+ *  read one flat `n x n` byte table built with the map (n^2 bytes), so
+ *  the routers and the emitter pay O(1) per query on their hot paths.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,10 +48,11 @@ public:
   /*! \brief Undirected distance (hops); num_qubits() if disconnected. */
   uint32_t distance( uint32_t from, uint32_t to ) const;
 
-  /*! \brief All-pairs undirected distances (num_qubits() where
-   *         disconnected); one BFS per qubit.
+  /*! \brief All-pairs undirected distances, row-major (`from *
+   *         num_qubits() + to`; num_qubits() where disconnected); one
+   *         BFS per qubit.
    */
-  std::vector<std::vector<uint32_t>> all_distances() const;
+  std::vector<uint32_t> all_distances() const;
 
   /* ---- native SWAP support ---- */
 
@@ -83,11 +89,26 @@ public:
   static coupling_map fully_connected( uint32_t num_qubits );
 
 private:
+  /* bits of `pairs_[pair_index( a, b )]` */
+  static constexpr uint8_t directed_bit = 1u; /* CNOT a -> b is native */
+  static constexpr uint8_t coupled_bit = 2u;  /* a, b coupled either way */
+  static constexpr uint8_t swap_bit = 4u;     /* native SWAP on a, b */
+
+  size_t pair_index( uint32_t a, uint32_t b ) const
+  {
+    return static_cast<size_t>( a ) * num_qubits_ + b;
+  }
+
+  uint8_t pair_bits( uint32_t a, uint32_t b ) const
+  {
+    return a < num_qubits_ && b < num_qubits_ ? pairs_[pair_index( a, b )] : uint8_t{ 0 };
+  }
+
   uint32_t num_qubits_;
   std::vector<std::pair<uint32_t, uint32_t>> edges_;
   std::string name_;
-  std::vector<std::vector<uint32_t>> neighbours_;         /* undirected adjacency */
-  std::vector<std::pair<uint32_t, uint32_t>> swap_edges_; /* native SWAP pairs */
+  std::vector<std::vector<uint32_t>> neighbours_; /* undirected adjacency */
+  std::vector<uint8_t> pairs_;                    /* flat n x n pair table */
 };
 
 } // namespace qda

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 namespace qda
 {
@@ -25,14 +27,75 @@ std::pair<uint32_t, uint32_t> operands_of( const qgate_view& gate )
   return { gate.controls[0], gate.target };
 }
 
+/*! Device facts every SWAP decision reads, built once per route call:
+ *  the flat all-pairs distance table and the SWAP candidates, one per
+ *  coupled pair as `(lo, hi)` in `edges()` order (ties go to the
+ *  earliest, so the order is part of the output).
+ */
+struct device_tables
+{
+  explicit device_tables( const coupling_map& device )
+      : num_qubits( device.num_qubits() ), dist( device.all_distances() )
+  {
+    std::vector<char> seen( static_cast<size_t>( num_qubits ) * num_qubits, 0 );
+    for ( const auto& [a, b] : device.edges() )
+    {
+      if ( a > b && device.has_directed_edge( b, a ) )
+      {
+        continue; /* bidirected pair: already listed via the (b, a) entry */
+      }
+      const uint32_t lo = std::min( a, b );
+      const uint32_t hi = std::max( a, b );
+      if ( !std::exchange( seen[static_cast<size_t>( lo ) * num_qubits + hi], 1 ) )
+      {
+        candidates.emplace_back( lo, hi );
+      }
+    }
+  }
+
+  uint32_t distance( uint32_t a, uint32_t b ) const
+  {
+    return dist[static_cast<size_t>( a ) * num_qubits + b];
+  }
+
+  uint32_t num_qubits;
+  std::vector<uint32_t> dist;
+  std::vector<std::pair<uint32_t, uint32_t>> candidates;
+};
+
+/*! The dependency DAG plus each gate's logical operand pair and
+ *  whether it belongs in the lookahead (extended) set, read once.
+ */
+struct routing_dag
+{
+  explicit routing_dag( const qcircuit& circuit )
+      : dag( circuit ), pairs( dag.size() ), lookahead( dag.size(), 0 )
+  {
+    for ( uint32_t index = 0u; index < dag.size(); ++index )
+    {
+      if ( dag.is_two_qubit( index ) )
+      {
+        pairs[index] = operands_of( dag.gate( index ) );
+        lookahead[index] = dag.gate( index ).kind != gate_kind::swap;
+      }
+    }
+  }
+
+  gate_dag dag;
+  std::vector<std::pair<uint32_t, uint32_t>> pairs; /* two-qubit gates only */
+  std::vector<char> lookahead;
+};
+
 struct sabre_run
 {
+  const routing_dag& routing;
   const gate_dag& dag;
   const coupling_map& device;
-  const std::vector<std::vector<uint32_t>>& dist;
+  const device_tables& tables;
   const router_options& options;
 
-  detail::physical_emitter emitter;
+  /* empty in layout-search runs, which only need their exit layout */
+  std::optional<detail::physical_emitter> emitter;
   std::vector<uint32_t> layout;  /* logical -> physical */
   std::vector<uint32_t> inverse; /* physical -> logical */
   std::vector<uint32_t> indegree;
@@ -41,21 +104,33 @@ struct sabre_run
   uint32_t executed = 0u;
   uint32_t stalled_swaps = 0u;
 
-  /* scratch of extended_set(): epoch-stamped lazy view of `indegree`
-   * so each SWAP decision only touches the gates its BFS visits */
-  mutable std::vector<uint32_t> scratch_remaining;
-  mutable std::vector<uint32_t> scratch_stamp;
-  mutable uint32_t scratch_epoch = 0u;
+  /* reused by every SWAP decision */
+  std::vector<uint32_t> extended; /* lookahead gates beyond the front */
+  std::vector<uint32_t> queue;    /* BFS frontier of extended_set() */
+  std::vector<char> involved;     /* physical qubits of blocked gates */
+  /* physical operand pairs of the front and extended gates */
+  std::vector<std::pair<uint32_t, uint32_t>> front_places;
+  std::vector<std::pair<uint32_t, uint32_t>> extended_places;
 
-  sabre_run( const gate_dag& dag_, const coupling_map& device_,
-             const std::vector<std::vector<uint32_t>>& dist_, const router_options& options_,
-             std::vector<uint32_t> initial_layout )
-      : dag( dag_ ), device( device_ ), dist( dist_ ), options( options_ ),
-        emitter( device_, options_.use_native_swap ), layout( std::move( initial_layout ) ),
-        inverse( device_.num_qubits() ), indegree( dag_.size() ),
-        decay( device_.num_qubits(), 1.0 ), scratch_remaining( dag_.size() ),
-        scratch_stamp( dag_.size(), 0u )
+  /* epoch-stamped lazy view of `indegree` for extended_set(), so each
+   * SWAP decision only touches the gates its BFS visits */
+  std::vector<uint32_t> scratch_remaining;
+  std::vector<uint32_t> scratch_stamp;
+  uint32_t scratch_epoch = 0u;
+
+  sabre_run( const routing_dag& routing_, const coupling_map& device_,
+             const device_tables& tables_, const router_options& options_,
+             std::vector<uint32_t> initial_layout, bool emit )
+      : routing( routing_ ), dag( routing_.dag ), device( device_ ), tables( tables_ ),
+        options( options_ ), layout( std::move( initial_layout ) ),
+        inverse( device_.num_qubits() ), indegree( dag.size() ),
+        decay( device_.num_qubits(), 1.0 ), involved( device_.num_qubits(), 0 ),
+        scratch_remaining( dag.size() ), scratch_stamp( dag.size(), 0u )
   {
+    if ( emit )
+    {
+      emitter.emplace( device_, options_.use_native_swap );
+    }
     for ( uint32_t logical = 0u; logical < layout.size(); ++logical )
     {
       inverse[layout[logical]] = logical;
@@ -67,18 +142,15 @@ struct sabre_run
     front = dag.roots();
   }
 
+  uint64_t added_swaps() const { return emitter->added_swaps(); }
+
   bool executable( uint32_t index ) const
   {
-    const auto& gate = dag.gate( index );
-    if ( gate.kind == gate_kind::swap )
+    if ( !dag.is_two_qubit( index ) || dag.gate( index ).kind == gate_kind::swap )
     {
-      return true; /* absorbed into the layout, needs no adjacency */
+      return true; /* a logical SWAP is absorbed into the layout */
     }
-    if ( !dag.is_two_qubit( index ) )
-    {
-      return true;
-    }
-    const auto [a, b] = operands_of( gate );
+    const auto [a, b] = routing.pairs[index];
     return device.are_adjacent( layout[a], layout[b] );
   }
 
@@ -88,10 +160,16 @@ struct sabre_run
     switch ( gate.kind )
     {
     case gate_kind::cx:
-      emitter.cx( layout[gate.controls[0]], layout[gate.target] );
+      if ( emitter )
+      {
+        emitter->cx( layout[gate.controls[0]], layout[gate.target] );
+      }
       break;
     case gate_kind::cz:
-      emitter.cz( layout[gate.controls[0]], layout[gate.target] );
+      if ( emitter )
+      {
+        emitter->cz( layout[gate.controls[0]], layout[gate.target] );
+      }
       break;
     case gate_kind::swap:
       /* a logical SWAP needs no gates at all: relabel the layout */
@@ -102,11 +180,17 @@ struct sabre_run
       throw std::invalid_argument( "router: map multi-controlled gates to Clifford+T first" );
     case gate_kind::barrier:
     case gate_kind::global_phase:
-      emitter.passthrough( gate );
+      if ( emitter )
+      {
+        emitter->passthrough( gate );
+      }
       break;
     default:
-      emitter.passthrough( qgate_view( gate.kind, gate.controls, layout[gate.target],
-                                       gate.target2, gate.angle ) );
+      if ( emitter )
+      {
+        emitter->passthrough( qgate_view( gate.kind, gate.controls, layout[gate.target],
+                                          gate.target2, gate.angle ) );
+      }
       break;
     }
     ++executed;
@@ -152,13 +236,15 @@ struct sabre_run
     return any;
   }
 
-  /*! Upcoming two-qubit gates beyond the front layer (BFS over the DAG). */
-  std::vector<uint32_t> extended_set() const
+  /*! Fills `extended` with the upcoming two-qubit gates beyond the
+   *  front layer (BFS over the DAG).
+   */
+  void extended_set()
   {
-    std::vector<uint32_t> result;
+    extended.clear();
     if ( options.extended_set_size == 0u )
     {
-      return result;
+      return;
     }
     ++scratch_epoch;
     const auto residual = [&]( uint32_t index ) -> uint32_t& {
@@ -169,19 +255,18 @@ struct sabre_run
       }
       return scratch_remaining[index];
     };
-    std::vector<uint32_t> queue = front;
-    for ( size_t i = 0u; i < queue.size() && result.size() < options.extended_set_size; ++i )
+    queue.assign( front.begin(), front.end() );
+    for ( size_t i = 0u; i < queue.size() && extended.size() < options.extended_set_size; ++i )
     {
       for ( const auto successor : dag.successors( queue[i] ) )
       {
         if ( --residual( successor ) == 0u )
         {
           queue.push_back( successor );
-          if ( dag.is_two_qubit( successor ) &&
-               dag.gate( successor ).kind != gate_kind::swap )
+          if ( routing.lookahead[successor] )
           {
-            result.push_back( successor );
-            if ( result.size() >= options.extended_set_size )
+            extended.push_back( successor );
+            if ( extended.size() >= options.extended_set_size )
             {
               break;
             }
@@ -189,52 +274,58 @@ struct sabre_run
         }
       }
     }
-    return result;
   }
 
-  uint32_t mapped_distance( uint32_t index, uint32_t swapped_a, uint32_t swapped_b ) const
+  /*! Physical operand pairs of `gates` under the current layout. */
+  void collect_places( const std::vector<uint32_t>& gates,
+                       std::vector<std::pair<uint32_t, uint32_t>>& places ) const
   {
-    const auto [la, lb] = operands_of( dag.gate( index ) );
-    auto place = [&]( uint32_t logical ) {
-      const uint32_t physical = layout[logical];
-      if ( physical == swapped_a )
-      {
-        return swapped_b;
-      }
-      if ( physical == swapped_b )
-      {
-        return swapped_a;
-      }
-      return physical;
-    };
-    return dist[place( la )][place( lb )];
-  }
-
-  double score_swap( uint32_t a, uint32_t b, const std::vector<uint32_t>& blocked,
-                     const std::vector<uint32_t>& extended ) const
-  {
-    QDA_COUNT( "sabre.swap_candidates" );
-    double front_cost = 0.0;
-    for ( const auto index : blocked )
+    places.clear();
+    for ( const auto index : gates )
     {
-      front_cost += static_cast<double>( mapped_distance( index, a, b ) );
+      const auto [la, lb] = routing.pairs[index];
+      places.emplace_back( layout[la], layout[lb] );
     }
-    front_cost /= static_cast<double>( blocked.size() );
-    double extended_cost = 0.0;
-    if ( !extended.empty() )
+  }
+
+  /*! Summed distance of `places` after swapping physical `a` and `b`.
+   *  Distances are small integers, so the integer sum converts to the
+   *  same double as summing them one by one in double.
+   */
+  uint64_t swapped_distance( const std::vector<std::pair<uint32_t, uint32_t>>& places,
+                             uint32_t a, uint32_t b ) const
+  {
+    const auto place = [&]( uint32_t physical ) {
+      return physical == a ? b : physical == b ? a : physical;
+    };
+    uint64_t sum = 0u;
+    for ( const auto& [pa, pb] : places )
     {
-      for ( const auto index : extended )
-      {
-        extended_cost += static_cast<double>( mapped_distance( index, a, b ) );
-      }
-      extended_cost *= options.extended_weight / static_cast<double>( extended.size() );
+      sum += tables.distance( place( pa ), place( pb ) );
+    }
+    return sum;
+  }
+
+  double score_swap( uint32_t a, uint32_t b ) const
+  {
+    const double front_cost = static_cast<double>( swapped_distance( front_places, a, b ) ) /
+                              static_cast<double>( front_places.size() );
+    double extended_cost = 0.0;
+    if ( !extended_places.empty() )
+    {
+      extended_cost = static_cast<double>( swapped_distance( extended_places, a, b ) ) *
+                      ( options.extended_weight /
+                        static_cast<double>( extended_places.size() ) );
     }
     return std::max( decay[a], decay[b] ) * ( front_cost + extended_cost );
   }
 
   void apply_swap( uint32_t a, uint32_t b )
   {
-    emitter.swap( a, b );
+    if ( emitter )
+    {
+      emitter->swap( a, b );
+    }
     relabel_swapped( layout, inverse, a, b );
     decay[a] += options.decay_increment;
     decay[b] += options.decay_increment;
@@ -247,7 +338,7 @@ struct sabre_run
   void force_route_first()
   {
     QDA_COUNT( "sabre.force_routes" );
-    const auto [la, lb] = operands_of( dag.gate( front.front() ) );
+    const auto [la, lb] = routing.pairs[front.front()];
     const auto path = device.shortest_path( layout[la], layout[lb] );
     if ( path.empty() )
     {
@@ -262,7 +353,6 @@ struct sabre_run
   void choose_and_apply_swap()
   {
     /* every remaining front gate is a blocked two-qubit gate */
-    const auto& blocked = front;
     QDA_HISTOGRAM( "sabre.front_layer", static_cast<double>( front.size() ),
                    { 1.0, 2.0, 4.0, 8.0, 16.0, 32.0 } );
 
@@ -272,42 +362,42 @@ struct sabre_run
       force_route_first();
       return;
     }
-    const auto extended = extended_set();
+    extended_set();
+    collect_places( front, front_places );
+    collect_places( extended, extended_places );
 
-    /* candidate SWAPs: edges touching a qubit of a blocked gate */
-    std::vector<char> involved( device.num_qubits(), 0 );
-    for ( const auto index : blocked )
+    /* candidate SWAPs: coupled pairs touching a qubit of a blocked gate */
+    for ( const auto& [pa, pb] : front_places )
     {
-      const auto [la, lb] = operands_of( dag.gate( index ) );
-      involved[layout[la]] = 1;
-      involved[layout[lb]] = 1;
+      involved[pa] = 1;
+      involved[pb] = 1;
     }
     double best_score = 0.0;
     uint32_t best_a = 0u;
     uint32_t best_b = 0u;
-    bool found = false;
-    for ( const auto& [a, b] : device.edges() )
+    uint64_t scored = 0u;
+    for ( const auto& [lo, hi] : tables.candidates )
     {
-      if ( a > b && device.has_directed_edge( b, a ) )
-      {
-        continue; /* bidirected pair: already scored via the (b, a) entry */
-      }
-      const uint32_t lo = std::min( a, b );
-      const uint32_t hi = std::max( a, b );
       if ( !involved[lo] && !involved[hi] )
       {
         continue;
       }
-      const double score = score_swap( lo, hi, blocked, extended );
-      if ( !found || score < best_score )
+      ++scored;
+      const double score = score_swap( lo, hi );
+      if ( scored == 1u || score < best_score )
       {
-        found = true;
         best_score = score;
         best_a = lo;
         best_b = hi;
       }
     }
-    if ( !found )
+    for ( const auto& [pa, pb] : front_places )
+    {
+      involved[pa] = 0;
+      involved[pb] = 0;
+    }
+    QDA_COUNT_N( "sabre.swap_candidates", scored );
+    if ( scored == 0u )
     {
       force_route_first();
       return;
@@ -357,8 +447,8 @@ qcircuit reverse_for_layout( const qcircuit& circuit )
 
 routing_result finish( sabre_run&& run, std::vector<uint32_t> initial_layout )
 {
-  return { run.emitter.take_circuit(), std::move( initial_layout ), std::move( run.layout ),
-           run.emitter.added_swaps(), run.emitter.added_direction_fixes() };
+  return { run.emitter->take_circuit(), std::move( initial_layout ), std::move( run.layout ),
+           run.emitter->added_swaps(), run.emitter->added_direction_fixes() };
 }
 
 } // namespace
@@ -375,8 +465,8 @@ routing_result sabre_route( const qcircuit& source, const coupling_map& device,
       .attr( "logical_qubits", static_cast<int64_t>( source.num_qubits() ) )
       .attr( "physical_qubits", static_cast<int64_t>( device.num_qubits() ) )
       .attr( "layout_iterations", static_cast<int64_t>( options.layout_iterations ) );
-  const auto dist = device.all_distances();
-  const gate_dag dag( source );
+  const device_tables tables( device );
+  const routing_dag dag( source );
 
   std::vector<uint32_t> layout( device.num_qubits() );
   std::iota( layout.begin(), layout.end(), 0u );
@@ -392,21 +482,21 @@ routing_result sabre_route( const qcircuit& source, const coupling_map& device,
      * to route the reversed circuit, whose final layout becomes the next
      * forward initial layout.  Routing is deterministic, so the best
      * forward trial's output is kept and returned directly instead of
-     * re-routing its layout. */
-    const auto reversed = reverse_for_layout( source );
-    const gate_dag reversed_dag( reversed );
+     * re-routing its layout; backward runs only need their exit layout
+     * and emit nothing. */
+    const routing_dag reversed_dag( reverse_for_layout( source ) );
     std::vector<uint32_t> best_layout = layout;
     uint64_t best_swaps = ~uint64_t{ 0 };
     std::optional<sabre_run> best_run;
     auto current = layout;
     for ( uint32_t iteration = 0u; iteration <= options.layout_iterations; ++iteration )
     {
-      sabre_run forward( dag, device, dist, options, current );
+      sabre_run forward( dag, device, tables, options, current, /*emit=*/true );
       forward.run();
       const auto forward_exit_layout = forward.layout;
-      if ( forward.emitter.added_swaps() < best_swaps )
+      if ( forward.added_swaps() < best_swaps )
       {
-        best_swaps = forward.emitter.added_swaps();
+        best_swaps = forward.added_swaps();
         best_layout = current;
         best_run.emplace( std::move( forward ) );
       }
@@ -414,7 +504,8 @@ routing_result sabre_route( const qcircuit& source, const coupling_map& device,
       {
         break;
       }
-      sabre_run backward( reversed_dag, device, dist, options, forward_exit_layout );
+      sabre_run backward( reversed_dag, device, tables, options, forward_exit_layout,
+                          /*emit=*/false );
       backward.run();
       current = backward.layout;
     }
@@ -423,7 +514,7 @@ routing_result sabre_route( const qcircuit& source, const coupling_map& device,
     return best;
   }
 
-  sabre_run final_run( dag, device, dist, options, layout );
+  sabre_run final_run( dag, device, tables, options, layout, /*emit=*/true );
   final_run.run();
   auto result = finish( std::move( final_run ), std::move( layout ) );
   route_span.attr( "swaps", result.added_swaps );

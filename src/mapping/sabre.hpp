@@ -11,6 +11,14 @@
  *  layout comes from reverse-traversal refinement: routing the reversed
  *  circuit from the forward run's final layout yields a better starting
  *  layout, iterated a few rounds and keeping the best trial.
+ *
+ *  Per call the router builds what every SWAP decision reads once: the
+ *  flat all-pairs distance table, the candidate SWAPs (one per coupled
+ *  pair, in `coupling_map::edges()` order, which sets tie-breaks), and
+ *  each gate's operand pair.  Each run reuses its extended-set queue,
+ *  candidate mask and operand-place buffers across decisions, and the
+ *  backward layout-search runs track only their exit layout, emitting
+ *  no circuit.
  */
 #pragma once
 

@@ -67,8 +67,13 @@ pass_report pass_manager::apply_pass( staged_ir& ir, const pass_invocation& invo
   pass_span.attr( "stage_in", std::string( stage_name( report.stage_before ) ) );
   pass_span.attr( "gates_in", static_cast<int64_t>( report.gates_before ) );
 
+  pass_context pass_context_with_statistics = context;
+  if ( report.statistics_before )
+  {
+    pass_context_with_statistics.statistics = &*report.statistics_before;
+  }
   const auto start = steady_clock::now();
-  info.run( ir, invocation.args, context );
+  info.run( ir, invocation.args, pass_context_with_statistics );
   report.elapsed_ms = elapsed_ms_since( start );
   QDA_COUNT( "pipeline.passes_run" );
 

@@ -458,7 +458,8 @@ void register_builtin_passes( pass_registry& registry )
 
   registry.register_pass( pass_info{
       "peephole",
-      "local gate cancellation over a sliding window",
+      "cancel inverse gate pairs that meet across disjoint wires "
+      "(--max-rounds 0 disables; any positive value sweeps to a fixed point)",
       { stage::quantum },
       stage::quantum,
       { "max-rounds" },
@@ -511,8 +512,9 @@ void register_builtin_passes( pass_registry& registry )
       {},
       { "c" },
       {},
-      []( staged_ir& ir, const pass_arguments&, const pass_context& ) {
-        ir.last_statistics = compute_statistics( ir.current_circuit() );
+      []( staged_ir& ir, const pass_arguments&, const pass_context& ctx ) {
+        ir.last_statistics =
+            ctx.statistics ? *ctx.statistics : compute_statistics( ir.current_circuit() );
       } } );
 }
 

@@ -102,6 +102,10 @@ struct pass_context
    *  optimized forms through it.  Null (the default for direct
    *  `apply_pass` callers) disables splicing entirely. */
   library::subcircuit_library* library = nullptr;
+  /*! Statistics of the circuit the pass starts from, when the pass
+   *  manager already holds them (`apply_pass` sets it); null means a
+   *  pass that needs them computes them itself. */
+  const circuit_statistics* statistics = nullptr;
 };
 
 /*! \brief One registered pass. */

@@ -3,6 +3,8 @@
  *         zero-copy views, the `circuit_cast` lowering hook and frozen
  *         (byte-packed) snapshots.
  */
+#include "gate_sequence_hash.hpp"
+
 #include "circuit/circuit.hpp"
 #include "circuit/circuit_cast.hpp"
 #include "circuit/frozen_circuit.hpp"
@@ -461,6 +463,59 @@ TEST( frozen_circuit_test, uncommitted_tombstones_and_stranded_operands_are_skip
     }
     ASSERT_GT( circuit.core().num_tombstones(), 0u );
     expect_round_trip( circuit ); /* before the rewriter commits */
+  }
+}
+
+TEST( circuit_ir_test, peephole_over_every_gate_kind_matches_the_pinned_sequence )
+{
+  /* barriers fence every wire, measurements block their wire, global
+   * phases are transparent; one hash over seeded random circuits pins
+   * which pairs cancel and the order of the survivors */
+  uint64_t combined = 14695981039346656037ull;
+  size_t gates = 0u;
+  for ( uint64_t seed = 1u; seed <= 20u; ++seed )
+  {
+    for ( const uint32_t wires : { 2u, 3u, 8u } )
+    {
+      auto circuit = random_quantum_circuit( wires, 400u, 1000u * wires + seed );
+      peephole_in_place( circuit );
+      gates += circuit.num_gates();
+      combined = ( combined ^ gate_sequence_hash( circuit ) ) * 1099511628211ull;
+    }
+  }
+  EXPECT_EQ( gates, 23172u );
+  EXPECT_EQ( combined, 0xe59548b9640f7ea1ull ) << std::hex << combined << std::dec << " " << gates;
+}
+
+TEST( circuit_ir_test, peephole_skips_uncommitted_tombstones )
+{
+  for ( uint64_t seed = 1u; seed <= 10u; ++seed )
+  {
+    SCOPED_TRACE( seed );
+    const auto source = random_quantum_circuit( 3u, 400u, 500u + seed );
+    const auto erase_some = [&]( qcircuit::rewriter& rewriter ) {
+      std::mt19937_64 rng( seed );
+      for ( uint32_t slot = 0u; slot < source.core().num_slots(); ++slot )
+      {
+        if ( rng() % 4u == 0u )
+        {
+          rewriter.erase_slot( slot );
+        }
+      }
+    };
+    auto compacted = source;
+    {
+      auto rewriter = compacted.rewrite();
+      erase_some( rewriter );
+    }
+    peephole_in_place( compacted );
+
+    auto tombstoned = source;
+    auto rewriter = tombstoned.rewrite();
+    erase_some( rewriter );
+    ASSERT_GT( tombstoned.core().num_tombstones(), 0u );
+    peephole_in_place( tombstoned ); /* before the outer rewriter commits */
+    EXPECT_TRUE( tombstoned.gates() == compacted.gates() );
   }
 }
 

@@ -12,6 +12,7 @@
 #include "fault/error.hpp"
 #include "fault/failpoint.hpp"
 #include "mapping/clifford_t.hpp"
+#include "optimization/peephole.hpp"
 #include "pipeline/spec_parser.hpp"
 #include "server/compile_server.hpp"
 #include "simulator/unitary.hpp"
@@ -850,6 +851,42 @@ TEST( failpoint_test, injected_tpar_failure_degrades_with_preserved_semantics )
   const auto reference = reference_manager.run( eq5 );
   EXPECT_TRUE( circuits_equivalent( response.result->ir.require_quantum().circuit,
                                     reference.ir.require_quantum().circuit ) );
+}
+
+TEST( failpoint_test, deadline_lands_inside_the_peephole_sweep )
+{
+  /* the sleep site sits on the sweep's strided cancel poll: the first
+   * poll sleeps past the deadline and that same poll throws, so the
+   * pass returns after one ~5 ms sleep.  A pass that polled only per
+   * round would sleep at each of the ~120 polls of its first sweep. */
+  failpoint_guard guard;
+  qcircuit circuit( 4u );
+  std::mt19937_64 rng( 5u );
+  for ( uint32_t g = 0u; g < 120000u; ++g )
+  {
+    const uint32_t q = static_cast<uint32_t>( rng() % 4u );
+    switch ( rng() % 3u )
+    {
+    case 0u: circuit.h( q ); break;
+    case 1u: circuit.t( q ); break;
+    default: circuit.cx( q, ( q + 1u ) % 4u ); break;
+    }
+  }
+  failpoint::registry::instance().arm( failpoint::parse_spec( "peephole.sweep:sleep:1:1" ) );
+  cancel_source source;
+  source.set_deadline_after( 1ms );
+  const auto start = std::chrono::steady_clock::now();
+  try
+  {
+    peephole_in_place( circuit, 8u, source.token() );
+    ADD_FAILURE() << "expected a deadline_exceeded error";
+  }
+  catch ( const qda_error& error )
+  {
+    EXPECT_EQ( error.code(), error_code::deadline_exceeded );
+  }
+  EXPECT_LT( std::chrono::steady_clock::now() - start, 300ms );
+  EXPECT_EQ( failpoint::registry::instance().trigger_count( "peephole.sweep" ), 1u );
 }
 
 TEST( failpoint_test, strict_injected_failure_is_typed_and_not_cached )

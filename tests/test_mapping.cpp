@@ -1,6 +1,12 @@
+#include "gate_sequence_hash.hpp"
+
+#include "core/bent.hpp"
+#include "core/hidden_shift.hpp"
 #include "mapping/clifford_t.hpp"
 #include "mapping/coupling_map.hpp"
+#include "mapping/mct_lowering.hpp"
 #include "mapping/router.hpp"
+#include "pipeline/pass_manager.hpp"
 #include "simulator/statevector.hpp"
 #include "simulator/unitary.hpp"
 #include "synthesis/revgen.hpp"
@@ -490,14 +496,150 @@ TEST( coupling_map_test, all_distances_matches_pairwise )
 {
   const auto qx5 = coupling_map::ibm_qx5();
   const auto matrix = qx5.all_distances();
-  ASSERT_EQ( matrix.size(), 16u );
+  ASSERT_EQ( matrix.size(), 16u * 16u );
   for ( uint32_t a = 0u; a < 16u; a += 3u )
   {
     for ( uint32_t b = 0u; b < 16u; b += 5u )
     {
-      EXPECT_EQ( matrix[a][b], qx5.distance( a, b ) ) << a << "," << b;
+      EXPECT_EQ( matrix[a * 16u + b], qx5.distance( a, b ) ) << a << "," << b;
     }
   }
+}
+
+/* ---------------------------------------------------------------- */
+/* routing output pins                                              */
+/* ---------------------------------------------------------------- */
+
+struct route_pin
+{
+  std::string what;
+  uint64_t swaps, direction_fixes, gates, hash;
+};
+
+void expect_pinned( const routing_result& routed, const route_pin& pin )
+{
+  const auto row = "{ \"" + pin.what + "\", " + std::to_string( routed.added_swaps ) + "u, " +
+                   std::to_string( routed.added_direction_fixes ) + "u, " +
+                   sequence_fields( routed.circuit ) + " }";
+  EXPECT_EQ( routed.added_swaps, pin.swaps ) << row;
+  EXPECT_EQ( routed.added_direction_fixes, pin.direction_fixes ) << row;
+  EXPECT_EQ( routed.circuit.num_gates(), pin.gates ) << row;
+  EXPECT_EQ( gate_sequence_hash( routed.circuit ), pin.hash ) << row;
+}
+
+TEST( routing_pin_test, device_tail_matches_the_pinned_sequence )
+{
+  /* the routed shape of the compile workloads: n = 5..7 lowered for
+   * and routed onto IBM QX5 by SABRE */
+  const route_pin pins[] = {
+      { "revgen --random 5 --seed 3; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5",
+        246u, 507u, 4225u, 0x5621e460bb8ce4d0ull },
+      { "revgen --random 5 --seed 4; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5",
+        234u, 548u, 4231u, 0x0115e66b605ec929ull },
+      { "revgen --random 6 --seed 3; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5",
+        697u, 1593u, 11905u, 0xba6b84d850fe596full },
+      { "revgen --random 6 --seed 4; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5",
+        693u, 1360u, 11475u, 0x900725d47e1ccd29ull },
+      { "revgen --random 7 --seed 3; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5",
+        2898u, 5853u, 45941u, 0xb7f8ad585072cdcdull },
+      { "revgen --random 7 --seed 4; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5",
+        2490u, 5297u, 40560u, 0x767d840a5c2182c8ull },
+  };
+  pass_manager manager( /*enable_cache=*/false );
+  for ( const auto& pin : pins )
+  {
+    run_plan plan;
+    plan.use_library = false;
+    const auto result = manager.run( parse_pipeline( pin.what ), staged_ir{}, plan );
+    ASSERT_TRUE( result.ir.mapped.has_value() ) << pin.what;
+    expect_pinned( *result.ir.mapped, pin );
+  }
+}
+
+TEST( routing_pin_test, mapping_bench_cases_match_the_pinned_sequence )
+{
+  /* every routing row of bench_mapping_overhead (BENCH_map.json) */
+  const route_pin pins[] = {
+      { "hwb4-cliff ibmqx2 greedy", 22u, 73u, 509u, 0x6a5a380ba022037dull },
+      { "hwb4-cliff ibmqx2 sabre", 16u, 61u, 441u, 0x6b0672a8c1742b1full },
+      { "hwb4-cliff ibmqx4 greedy", 22u, 57u, 457u, 0x108880cbc1378bddull },
+      { "hwb4-cliff ibmqx4 sabre", 16u, 61u, 441u, 0xe121d9ac95f28bdfull },
+      { "hwb4-cliff ibmqx5 greedy", 59u, 86u, 702u, 0x4dd8f6c1d29809f1ull },
+      { "hwb4-cliff ibmqx5 sabre", 21u, 70u, 486u, 0xe6f4b52f5baba3b3ull },
+      { "hwb4-cliff linear greedy", 59u, 0u, 362u, 0xfcda5ae993ccfc31ull },
+      { "hwb4-cliff linear sabre", 34u, 0u, 287u, 0x219cbbeaaa768f7full },
+      { "hwb4-cliff complete greedy", 0u, 0u, 185u, 0xa396179bd46e0c5eull },
+      { "hwb4-cliff complete sabre", 0u, 0u, 185u, 0xfc76eb6fa5b8e0beull },
+      { "hwb6-cliff ibmqx5 greedy", 2911u, 4016u, 29869u, 0x050cd4eb3963453bull },
+      { "hwb6-cliff ibmqx5 sabre", 821u, 1645u, 13663u, 0x4abef3b9b4b43bb8ull },
+      { "hwb6-cliff linear greedy", 2911u, 0u, 13997u, 0xb40aefc3963dba1bull },
+      { "hwb6-cliff linear sabre", 1393u, 0u, 9443u, 0x6cce8089e0832ddbull },
+      { "hwb6-cliff complete greedy", 0u, 0u, 5264u, 0xe8e4bf993410401eull },
+      { "hwb6-cliff complete sabre", 0u, 0u, 5264u, 0x148482bc7abda75eull },
+      { "hs-fig5 ibmqx2 greedy", 0u, 2u, 30u, 0x1b425e9f7cbb46c5ull },
+      { "hs-fig5 ibmqx2 sabre", 0u, 2u, 30u, 0x177a7441909d45a5ull },
+      { "hs-fig5 ibmqx4 greedy", 0u, 4u, 30u, 0xde3f5b2bc41cd5e5ull },
+      { "hs-fig5 ibmqx4 sabre", 0u, 4u, 30u, 0x79a0ad59b2f5ede5ull },
+      { "hs-fig5 ibmqx5 greedy", 0u, 2u, 30u, 0x9430169738772405ull },
+      { "hs-fig5 ibmqx5 sabre", 0u, 2u, 30u, 0x659bf857fea30ae5ull },
+      { "hs-fig5 linear greedy", 0u, 0u, 30u, 0x6ba40621ab3f0085ull },
+      { "hs-fig5 linear sabre", 0u, 0u, 30u, 0x23d3601e9650ff65ull },
+      { "hs-fig5 complete greedy", 0u, 0u, 30u, 0x6ba40621ab3f0085ull },
+      { "hs-fig5 complete sabre", 0u, 0u, 30u, 0x23d3601e9650ff65ull },
+      { "hs-fig8 ibmqx5 greedy", 48u, 60u, 554u, 0x0d2f1396aa2e7f07ull },
+      { "hs-fig8 ibmqx5 sabre", 14u, 53u, 390u, 0x60068ef1b3e56a68ull },
+      { "hs-fig8 linear greedy", 48u, 0u, 328u, 0xfb2a256f90936627ull },
+      { "hs-fig8 linear sabre", 23u, 0u, 253u, 0x622886412ff621aeull },
+      { "hs-fig8 complete greedy", 0u, 0u, 184u, 0x1d32f96891913365ull },
+      { "hs-fig8 complete sabre", 0u, 0u, 184u, 0xb33927021a810d05ull },
+  };
+  std::vector<std::pair<std::string, qcircuit>> workloads;
+  for ( const uint32_t bits : { 4u, 6u } )
+  {
+    auto mapped = map_to_clifford_t( transformation_based_synthesis( hwb_permutation( bits ) ) );
+    mapped.circuit.measure_all();
+    workloads.emplace_back( "hwb" + std::to_string( bits ) + "-cliff",
+                            std::move( mapped.circuit ) );
+  }
+  workloads.emplace_back(
+      "hs-fig5", lower_multi_controlled_gates(
+                     hidden_shift_circuit( { inner_product_function( 2u, true ), 1u } ) )
+                     .circuit );
+  workloads.emplace_back(
+      "hs-fig8",
+      lower_multi_controlled_gates( hidden_shift_circuit_mm( mm_bent_function::paper_fig7(), 5u ) )
+          .circuit );
+  const coupling_map devices[] = { coupling_map::ibm_qx2(), coupling_map::ibm_qx4(),
+                                   coupling_map::ibm_qx5(), coupling_map::linear( 16u ),
+                                   coupling_map::fully_connected( 16u ) };
+  size_t next = 0u;
+  for ( const auto& [name, circuit] : workloads )
+  {
+    for ( const auto& device : devices )
+    {
+      if ( circuit.num_qubits() > device.num_qubits() )
+      {
+        continue;
+      }
+      for ( const auto router : { router_kind::greedy, router_kind::sabre } )
+      {
+        router_options options;
+        options.kind = router;
+        const auto what = name + " " + device.name() + " " + router_kind_name( router );
+        ASSERT_LT( next, std::size( pins ) ) << what;
+        const auto& pin = pins[next++];
+        EXPECT_EQ( pin.what, what );
+        expect_pinned( route_circuit( circuit, device, options ), pin );
+      }
+    }
+  }
+  EXPECT_EQ( next, std::size( pins ) );
 }
 
 } // namespace

@@ -2,6 +2,8 @@
  *  naive multi-controlled X, cost-table pinning against emitted
  *  circuits, and ancilla-manager bookkeeping.
  */
+#include "gate_sequence_hash.hpp"
+
 #include "core/bent.hpp"
 #include "core/hidden_shift.hpp"
 #include "mapping/ancilla.hpp"
@@ -14,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 namespace qda
 {
@@ -418,35 +419,6 @@ TEST( negative_control_test, mixed_polarity_multi_gate_circuit )
 /* ---------------------------------------------------------------- */
 /* output pins                                                      */
 /* ---------------------------------------------------------------- */
-
-/*! FNV-1a over every gate's kind, controls, target, target2 and angle
- *  bits, in circuit order: any change to what the lowering emits (even
- *  a reordering of equal counts) changes it. */
-uint64_t gate_sequence_hash( const qcircuit& circuit )
-{
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&]( uint64_t value ) {
-    for ( uint32_t byte = 0u; byte < 8u; ++byte )
-    {
-      hash = ( hash ^ ( ( value >> ( 8u * byte ) ) & 0xffu ) ) * 1099511628211ull;
-    }
-  };
-  for ( const auto& gate : circuit.gates() )
-  {
-    mix( static_cast<uint64_t>( gate.kind ) );
-    mix( gate.controls.size() );
-    for ( const auto control : gate.controls )
-    {
-      mix( control );
-    }
-    mix( gate.target );
-    mix( gate.target2 );
-    uint64_t angle_bits;
-    std::memcpy( &angle_bits, &gate.angle, sizeof( angle_bits ) );
-    mix( angle_bits );
-  }
-  return hash;
-}
 
 struct pinned_output
 {

@@ -1,8 +1,11 @@
+#include "gate_sequence_hash.hpp"
+
 #include "mapping/clifford_t.hpp"
 #include "optimization/linear_synthesis.hpp"
 #include "optimization/peephole.hpp"
 #include "optimization/phase_folding.hpp"
 #include "optimization/revsimp.hpp"
+#include "pipeline/pass_manager.hpp"
 #include "simulator/unitary.hpp"
 #include "synthesis/revgen.hpp"
 #include "synthesis/transformation_based.hpp"
@@ -337,6 +340,138 @@ TEST( peephole_test, preserves_random_circuits )
     const auto optimized = peephole_optimize( circuit );
     ASSERT_TRUE( circuits_equivalent( optimized, circuit ) ) << "trial=" << trial;
     EXPECT_LE( optimized.num_gates(), circuit.num_gates() );
+  }
+}
+
+TEST( peephole_test, survivors_keep_their_order )
+{
+  /* H H cancels first and exposes CX CX; the survivors stay in slot
+   * order (a per-wire stack would emit T(2) before CX(0,1)) */
+  qcircuit circuit( 3u );
+  circuit.cx( 0u, 1u );
+  circuit.t( 2u );
+  circuit.h( 1u );
+  circuit.h( 1u );
+  circuit.cx( 0u, 1u );
+  circuit.cx( 0u, 1u );
+  const auto optimized = peephole_optimize( circuit );
+  qcircuit expected( 3u );
+  expected.cx( 0u, 1u );
+  expected.t( 2u );
+  EXPECT_TRUE( optimized.gates() == expected.gates() );
+  EXPECT_EQ( gate_sequence_hash( optimized ), gate_sequence_hash( expected ) );
+}
+
+TEST( peephole_test, max_rounds_zero_leaves_the_circuit_alone )
+{
+  qcircuit circuit( 1u );
+  circuit.h( 0u );
+  circuit.h( 0u );
+  qcircuit untouched( circuit );
+  peephole_in_place( untouched, 0u );
+  EXPECT_EQ( untouched.num_gates(), 2u );
+  qcircuit one_round( circuit );
+  peephole_in_place( one_round, 1u );
+  EXPECT_EQ( one_round.num_gates(), 0u );
+}
+
+/* ---------------------------------------------------------------- */
+/* output pins                                                      */
+/* ---------------------------------------------------------------- */
+
+/*! Runs `spec` cold: no result cache, no subcircuit library. */
+staged_ir compile_cold( const std::string& spec )
+{
+  pass_manager manager( /*enable_cache=*/false );
+  run_plan plan;
+  plan.use_library = false;
+  return manager.run( parse_pipeline( spec ), staged_ir{}, plan ).ir;
+}
+
+void expect_pinned( const qcircuit& circuit, const sequence_pin& pin )
+{
+  EXPECT_EQ( circuit.num_gates(), pin.gates ) << pin_row( pin.what, circuit );
+  EXPECT_EQ( gate_sequence_hash( circuit ), pin.hash ) << pin_row( pin.what, circuit );
+}
+
+TEST( peephole_pin_test, rptm_and_tpar_outputs_match_the_pinned_sequence )
+{
+  /* the peephole tails of the compile workloads, n = 5..8 under tbs
+   * and dbs: a change to which pairs cancel, or to the order of the
+   * survivors, must update these on purpose */
+  const sequence_pin pins[] = {
+      { "revgen --random 5 --seed 11; tbs; revsimp; rptm; peephole", 1147u, 0xf0a2af9b9f0470c9ull },
+      { "revgen --random 5 --seed 11; tbs; revsimp; rptm; tpar; peephole",
+        1096u, 0x7e7db2fb5b2db587ull },
+      { "revgen --random 5 --seed 11; dbs; revsimp; rptm; peephole", 736u, 0x977ae92924b563c1ull },
+      { "revgen --random 5 --seed 11; dbs; revsimp; rptm; tpar; peephole",
+        713u, 0x9d088dcf5c9ab4b8ull },
+      { "revgen --random 6 --seed 11; tbs; revsimp; rptm; peephole", 4297u, 0xb02f81a29d17d824ull },
+      { "revgen --random 6 --seed 11; tbs; revsimp; rptm; tpar; peephole",
+        4141u, 0x870d32c44d558b00ull },
+      { "revgen --random 6 --seed 11; dbs; revsimp; rptm; peephole", 2085u, 0x8bf8c07441b3e52full },
+      { "revgen --random 6 --seed 11; dbs; revsimp; rptm; tpar; peephole",
+        2033u, 0xa86fc29c82f072a3ull },
+      { "revgen --random 7 --seed 11; tbs; revsimp; rptm; peephole",
+        12418u, 0xd8d7ba4c18b5e0e1ull },
+      { "revgen --random 7 --seed 11; tbs; revsimp; rptm; tpar; peephole",
+        12029u, 0x4cc7ff1ed0627685ull },
+      { "revgen --random 7 --seed 11; dbs; revsimp; rptm; peephole", 6381u, 0x47121cd83e439fcdull },
+      { "revgen --random 7 --seed 11; dbs; revsimp; rptm; tpar; peephole",
+        6229u, 0x4d82a0151dac9948ull },
+      { "revgen --random 8 --seed 11; tbs; revsimp; rptm; peephole",
+        35938u, 0x90aaeed0dcc51f62ull },
+      { "revgen --random 8 --seed 11; tbs; revsimp; rptm; tpar; peephole",
+        35000u, 0xdf88272259d60300ull },
+      { "revgen --random 8 --seed 11; dbs; revsimp; rptm; peephole",
+        16303u, 0xae52004ec712754aull },
+      { "revgen --random 8 --seed 11; dbs; revsimp; rptm; tpar; peephole",
+        15983u, 0xa8d68ff1d0a99279ull },
+  };
+  for ( const auto& pin : pins )
+  {
+    const auto ir = compile_cold( pin.what );
+    ASSERT_TRUE( ir.quantum.has_value() ) << pin.what;
+    expect_pinned( ir.quantum->circuit, pin );
+  }
+}
+
+TEST( peephole_pin_test, routed_circuits_match_the_pinned_sequence )
+{
+  /* routed outputs carry direction-fix Hadamards and SWAP CNOTs that
+   * cancel across wires; peephole is called directly on them */
+  const sequence_pin pins[] = {
+      { "revgen --random 5 --seed 11; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5",
+        2702u, 0xa10559d2d8073ee2ull },
+      { "revgen --random 5 --seed 11; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5 --router greedy",
+        5846u, 0xcea24d03ad32b007ull },
+      { "revgen --random 5 --seed 11; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --linear 16",
+        2168u, 0xc8d3bb0f214c6fc6ull },
+      { "revgen --random 5 --seed 11; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --ring 16",
+        2168u, 0xc8d3bb0f214c6fc6ull },
+      { "revgen --random 6 --seed 11; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5",
+        12455u, 0x4f0a5b3d99028fc8ull },
+      { "revgen --random 6 --seed 11; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --device ibm_qx5 --router greedy",
+        29354u, 0xa0300b86aef81222ull },
+      { "revgen --random 6 --seed 11; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --linear 16",
+        8849u, 0x49feec4300de3d2dull },
+      { "revgen --random 6 --seed 11; tbs; revsimp; rptm --cost-target ibm_qx5; "
+        "tpar; route --ring 16",
+        8849u, 0x49feec4300de3d2dull },
+  };
+  for ( const auto& pin : pins )
+  {
+    auto ir = compile_cold( pin.what );
+    ASSERT_TRUE( ir.mapped.has_value() ) << pin.what;
+    peephole_in_place( ir.mapped->circuit );
+    expect_pinned( ir.mapped->circuit, pin );
   }
 }
 

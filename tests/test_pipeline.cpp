@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <tuple>
+
 namespace qda
 {
 namespace
@@ -166,6 +169,45 @@ TEST( pass_registry_test, custom_pass_participates_in_pipelines )
   const auto result = manager.run( "revgen --hwb 3; tbs; reverse; reverse" );
   EXPECT_EQ( result.ir.require_reversible().to_permutation(),
              hwb_permutation( 3u ) );
+}
+
+TEST( pass_registry_test, ps_reuses_the_statistics_the_manager_holds )
+{
+  const auto fields = []( const circuit_statistics& s ) {
+    return std::tuple{ s.num_qubits, s.num_gates,  s.t_count,         s.t_depth,
+                       s.h_count,    s.cnot_count, s.two_qubit_count, s.clifford_count,
+                       s.depth,      s.num_measurements };
+  };
+  /* apply_pass hands every pass the statistics it holds for the report */
+  pass_registry registry;
+  register_builtin_passes( registry );
+  std::optional<circuit_statistics> handed;
+  pass_info probe;
+  probe.name = "probe";
+  probe.summary = "record the statistics the pass manager hands over";
+  probe.accepts = { stage::quantum };
+  probe.run = [&]( staged_ir&, const pass_arguments&, const pass_context& ctx ) {
+    if ( ctx.statistics != nullptr )
+    {
+      handed = *ctx.statistics;
+    }
+  };
+  registry.register_pass( std::move( probe ) );
+
+  pass_manager manager( /*enable_cache=*/false, registry );
+  const auto result = manager.run( "revgen --hwb 4; tbs; rptm; probe; ps" );
+  const auto expected = compute_statistics( result.ir.require_quantum().circuit );
+  ASSERT_TRUE( handed.has_value() );
+  EXPECT_EQ( fields( *handed ), fields( expected ) );
+  ASSERT_TRUE( result.ir.last_statistics.has_value() );
+  EXPECT_EQ( fields( *result.ir.last_statistics ), fields( expected ) );
+
+  /* called without a manager, ps computes them itself */
+  auto standalone = result.ir;
+  standalone.last_statistics.reset();
+  registry.at( "ps" ).run( standalone, pass_arguments{}, pass_context{} );
+  ASSERT_TRUE( standalone.last_statistics.has_value() );
+  EXPECT_EQ( fields( *standalone.last_statistics ), fields( expected ) );
 }
 
 /* ---------------- pass manager ---------------- */
