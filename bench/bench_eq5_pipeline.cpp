@@ -15,9 +15,10 @@
  *
  *  E1d compares the pre-refactor copy-rebuild `revsimp` (vector erase +
  *  restart after every change) against the unified-IR rewriter version
- *  on an erase-heavy input.  All per-pass wall times and gate counts
- *  are additionally written to BENCH_eq5.json so the perf trajectory is
- *  tracked across PRs.
+ *  on an erase-heavy input, each side as its best of 31 calls; the
+ *  bench fails when the two leave different gate counts.  All per-pass
+ *  wall times and gate counts are additionally written to
+ *  BENCH_eq5.json so the perf trajectory is tracked across PRs.
  */
 #include "core/flow.hpp"
 #include "kernel/bits.hpp"
@@ -27,6 +28,7 @@
 #include "telemetry/clock.hpp"
 #include "telemetry/metadata.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -162,31 +164,39 @@ int main()
   std::printf( "%-7s %-12s %-12s %-9s\n", "gates", "legacy-ms", "rewriter-ms", "speedup" );
   const auto microbench_input = make_erase_heavy_circuit( 10u, 300u, 0xe1du );
 
-  constexpr uint32_t legacy_reps = 2u;
-  const auto legacy_start = clock_type::now();
-  auto legacy_result = reference::revsimp( microbench_input );
-  for ( uint32_t rep = 1u; rep < legacy_reps; ++rep )
-  {
-    legacy_result = reference::revsimp( microbench_input );
-  }
-  const double legacy_ms = elapsed_ms_since( legacy_start ) / legacy_reps;
-
-  constexpr uint32_t rewriter_reps = 5u;
-  const auto rewriter_start = clock_type::now();
+  /* each call takes ~0.05-0.6 ms, so a mean over a few calls follows
+   * scheduler noise; each side is timed as its best of many calls,
+   * interleaved so both sides see the same host.  Both time a copy of
+   * the input plus the simplification. */
+  constexpr uint32_t microbench_calls = 31u;
+  double legacy_ms = 1e300;
+  double rewriter_ms = 1e300;
+  size_t legacy_gates = 0u;
   size_t rewriter_gates = 0u;
-  for ( uint32_t rep = 0u; rep < rewriter_reps; ++rep )
+  for ( uint32_t call = 0u; call < microbench_calls; ++call )
   {
+    auto start = clock_type::now();
+    const auto legacy_result = reference::revsimp( microbench_input );
+    legacy_ms = std::min( legacy_ms, elapsed_ms_since( start ) );
+    legacy_gates = legacy_result.num_gates();
+
+    start = clock_type::now();
     rev_circuit scratch( microbench_input );
     revsimp_in_place( scratch );
+    rewriter_ms = std::min( rewriter_ms, elapsed_ms_since( start ) );
     rewriter_gates = scratch.num_gates();
   }
-  const double rewriter_ms = elapsed_ms_since( rewriter_start ) / rewriter_reps;
 
   const double speedup = rewriter_ms > 0.0 ? legacy_ms / rewriter_ms : 0.0;
   std::printf( "%-7zu %-12.3f %-12.3f %8.1fx\n", microbench_input.num_gates(), legacy_ms,
                rewriter_ms, speedup );
-  std::printf( "  residual gates: legacy=%zu rewriter=%zu\n", legacy_result.num_gates(),
-               rewriter_gates );
+  std::printf( "  residual gates: legacy=%zu rewriter=%zu\n", legacy_gates, rewriter_gates );
+  if ( legacy_gates != rewriter_gates )
+  {
+    /* the speedup only means something when both do the same work */
+    std::printf( "E1d: FAIL legacy and rewriter revsimp leave different gate counts\n" );
+    return 1;
+  }
   /* timing assertions live in the tracked BENCH_eq5.json metric, not in
    * the exit code -- a wall-clock gate would flake on loaded CI runners
    * and sanitizer builds */

@@ -23,6 +23,9 @@
  *      snapshot codec is timed on a random n = 8 rptm output: a live
  *      `staged_ir` copy against `frozen_ir` freeze and thaw.
  *
+ *  The summary also records what the zipf mix's result cache holds at
+ *  8 workers: heap bytes per held gate of its live results.
+ *
  *  The workload is zipf-distributed over ~30 unique pipelines (hwb
  *  3..5 with assorted optimization tails), and every request's raw text
  *  is drawn from one of three equivalent spellings (whitespace, empty
@@ -147,6 +150,19 @@ struct config_result
   double wall_ms = 0.0;
   double throughput = 0.0; /*!< served requests per second */
   server_statistics stats;
+
+  /*! Result-cache heap bytes over the gates its entries hold. */
+  double result_bytes_per_gate() const noexcept
+  {
+    uint64_t gates = 0u;
+    for ( const auto& shard : stats.result_shards )
+    {
+      gates += shard.gates;
+    }
+    return gates == 0u ? 0.0
+                       : static_cast<double>( stats.result_cache.bytes ) /
+                             static_cast<double>( gates );
+  }
 };
 
 /*! Runs the whole request stream through one server configuration with
@@ -429,6 +445,10 @@ int main()
   std::printf( "  prefix reuse at 8 workers: %llu passes skipped, %.1f ms saved\n",
                static_cast<unsigned long long>( amortized_8.stats.prefix_passes_skipped ),
                amortized_8.stats.prefix_saved_ms );
+  std::printf( "  result cache at 8 workers: %.1f KiB over %zu entries (%.2f B/gate)\n",
+               static_cast<double>( amortized_8.stats.result_cache.bytes ) / 1024.0,
+               static_cast<size_t>( amortized_8.stats.result_cache.entries ),
+               amortized_8.result_bytes_per_gate() );
   std::printf( "  fault-path overhead on a healthy workload: %.1f%% "
                "(degrade policy at %.1f req/s vs strict at %.1f)\n",
                100.0 * ( 1.0 - degrade_healthy_ratio ), degrade_8.throughput,
@@ -500,9 +520,10 @@ int main()
                 "  \"summary\": { \"speedup_8_workers_vs_serial_baseline\": %.2f, "
                 "\"thread_scaling_8v1\": %.2f, \"structural_hit_rate\": %.4f, "
                 "\"exact_text_hit_rate\": %.4f, \"hit_rate_gain\": %.4f, "
-                "\"degrade_healthy_ratio\": %.4f }\n}\n",
+                "\"degrade_healthy_ratio\": %.4f, \"result_bytes_per_gate\": %.4f }\n}\n",
                 speedup, thread_scaling, structural_hit_rate, exact_hit_rate,
-                structural_hit_rate - exact_hit_rate, degrade_healthy_ratio );
+                structural_hit_rate - exact_hit_rate, degrade_healthy_ratio,
+                amortized_8.result_bytes_per_gate() );
   std::fclose( json );
   std::printf( "wrote BENCH_serve.json\n" );
 

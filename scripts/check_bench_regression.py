@@ -9,10 +9,11 @@ wall-clock numbers shift with the host.  A small set of absolute floors
 (ABSOLUTE_FLOORS) is additionally enforced on the current run only.
 Circuit sizes are deterministic, so BENCH_tpar.json is compared
 exactly: any T, CNOT or gate count above the baseline's fails, with no
-tolerance.  The same holds for the work counters of bench_serve's
-one-shot row (WORK_CEILINGS): one-shot traffic must leave no result
-entries, and the prefix cache's bytes per held gate may not rise more
-than 1% above the baseline nor above an absolute ceiling.  Routing
+tolerance.  The same holds for bench_serve's work counters
+(WORK_CEILINGS): one-shot traffic must leave no result entries, and the
+prefix cache's and the zipf mix's result cache's bytes per held gate
+may not rise more than 1% above the baseline nor above an absolute
+ceiling.  Routing
 output is pinned gate for gate, so every BENCH_map.json routing row
 (workload, device, router) must repeat its swaps, direction fixes,
 CNOT count, T count and depth exactly: a change in either direction
@@ -64,9 +65,12 @@ WORK_CEILINGS = {
     # distinct specs never repeat, so the result cache admits none of
     # them (admission waits for a key's second sighting)
     "serve.one_shot.result_entries": 0,
-    # frozen prefix snapshots: byte-packed circuits, no handles or
-    # tombstones (the live IR held ~35 bytes per gate)
+    # frozen prefix snapshots: byte-packed circuits, no tombstones
+    # (a live Clifford+T row costs ~25 bytes)
     "serve.one_shot.prefix_bytes_per_gate": 3.0,
+    # live results of the repeating mix: columns plus one tombstone
+    # byte per row, no per-gate ids (~40 bytes per gate with them)
+    "serve.result_bytes_per_gate": 32.0,
 }
 
 # deterministic work counters compared to the baseline within 1%
@@ -82,6 +86,9 @@ def collect_work(directory):
         for key in ("result_entries", "prefix_bytes_per_gate"):
             if key in one_shot:
                 work[f"serve.one_shot.{key}"] = one_shot[key]
+        summary = serve.get("summary", {})
+        if "result_bytes_per_gate" in summary:
+            work["serve.result_bytes_per_gate"] = summary["result_bytes_per_gate"]
     return work
 
 

@@ -8,39 +8,71 @@
  *  core supplies everything a pass needs and no facade should
  *  re-implement:
  *
- *   - stable `gate_handle`s that survive erasure of other gates and
- *     storage compaction,
  *   - O(1) tombstone erasure with deferred compaction, so erase-heavy
  *     passes never pay the O(n) vector-erase memmove of the old split
  *     containers,
  *   - zero-copy `gates_view` iteration yielding the policy's view type
  *     (a POD row for MCT gates, a span-backed `qgate_view` for
  *     Clifford+T gates),
- *   - a batching `rewriter` (`erase`, `replace`, `insert_before/after`,
- *     `append`, `commit`) so passes mutate in place instead of
- *     copy-rebuilding whole gate vectors.
+ *   - a batching `rewriter` (`erase_slot`, `replace_slot`,
+ *     `insert_before/after_slot`, `append`, `commit`) so passes mutate
+ *     in place instead of copy-rebuilding whole gate vectors.
  *
- *  Invalidation rules: tombstone erasure and in-place replacement keep
- *  iterators and slot indices valid; pending rewriter inserts are not
- *  visible until `commit()`, which compacts storage and invalidates
- *  slots/iterators (handles stay valid).  Appending may reallocate the
- *  operand slab, so span-backed views must not be kept across any
- *  mutation.
+ *  A gate is named by its slot; there are no stable ids, so a row costs
+ *  its columns plus one tombstone byte.  Invalidation rules: tombstone
+ *  erasure and in-place replacement keep iterators and slot indices
+ *  valid; pending rewriter inserts are not visible until `commit()`,
+ *  which compacts storage column by column and invalidates slots and
+ *  iterators.  Appending may reallocate the operand slab, so
+ *  span-backed views must not be kept across any mutation.
  */
 #pragma once
-
-#include "circuit/gate_handle.hpp"
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <stdexcept>
+#include <span>
 #include <utility>
 #include <vector>
 
 namespace qda::ir
 {
+
+/*! \brief Sentinel for "no slot / no pool entry". */
+inline constexpr uint32_t npos = 0xFFFFFFFFu;
+
+/*! \brief Rebuilds `column` as its entries `rows[0], rows[1], ...`.
+ *
+ *  With `in_place`, `rows` must ascend (an erase-only commit): each
+ *  survivor slides down over a row already read, and the capacity is
+ *  kept unless more than 1/8 of it would stay empty (a cached result
+ *  should not hold a pass's erased rows).  Otherwise the gather fills
+ *  a fresh, exactly sized vector.
+ */
+template<typename T>
+void gather_column( std::vector<T>& column, std::span<const uint32_t> rows, bool in_place )
+{
+  if ( in_place )
+  {
+    for ( size_t i = 0u; i < rows.size(); ++i )
+    {
+      column[i] = column[rows[i]];
+    }
+    column.resize( rows.size() );
+    if ( column.capacity() - column.size() > column.size() / 8u )
+    {
+      column.shrink_to_fit();
+    }
+    return;
+  }
+  std::vector<T> out( rows.size() );
+  for ( size_t i = 0u; i < rows.size(); ++i )
+  {
+    out[i] = column[rows[i]];
+  }
+  column = std::move( out );
+}
 
 /*! \brief Unified circuit container parameterized by a gate policy.
  *
@@ -48,7 +80,7 @@ namespace qda::ir
  *   - `gate_type`: the materialized value type (e.g. `rev_gate`),
  *   - `view_type`: what iteration yields (value or zero-copy proxy),
  *   - `columns`: SoA storage with `size/reserve/push_back/set_row/
- *     copy_row_from/prepend/get`,
+ *     copy_row_from/prepend/gather/get`,
  *   - `view_at(columns, slot)` and `rows_equal(a, sa, b, sb)`.
  */
 template<typename Policy>
@@ -63,19 +95,13 @@ public:
   explicit circuit( uint32_t num_wires ) : num_wires_( num_wires ) {}
 
   /*! \brief Adopts fully built columns as a compacted circuit: every
-   *         row is alive and gate `i` gets slot `i` and handle `i`.
-   *         Snapshot decoders (`frozen_circuit::thaw`) fill the columns
-   *         in bulk and hand them over here, with no per-row emplace.
+   *         row is alive and gate `i` sits at slot `i`.  Snapshot
+   *         decoders (`frozen_circuit::thaw`) fill the columns in bulk
+   *         and hand them over here, with no per-row emplace.
    */
   circuit( uint32_t num_wires, columns_type cols )
-      : num_wires_( num_wires ), cols_( std::move( cols ) ), dead_( cols_.size(), 0u ),
-        id_of_( cols_.size() ), slot_of_( cols_.size() )
+      : num_wires_( num_wires ), cols_( std::move( cols ) ), dead_( cols_.size(), 0u )
   {
-    for ( uint32_t slot = 0u; slot < num_slots(); ++slot )
-    {
-      id_of_[slot] = slot;
-      slot_of_[slot] = slot;
-    }
   }
 
   uint32_t num_wires() const noexcept { return num_wires_; }
@@ -119,52 +145,31 @@ public:
 
   view_type view_at_slot( uint32_t slot ) const { return Policy::view_at( cols_, slot ); }
 
-  /* ---- stable handles ---- */
-
-  gate_handle handle_at_slot( uint32_t slot ) const noexcept { return { id_of_[slot] }; }
-
-  bool alive( gate_handle handle ) const noexcept
-  {
-    return handle.id < slot_of_.size() && slot_of_[handle.id] != npos;
-  }
-
-  /*! \brief Current slot of a handle (npos when erased). */
-  uint32_t slot_of( gate_handle handle ) const noexcept { return slot_of_[handle.id]; }
-
-  /*! \brief Gate named by `handle`; throws std::out_of_range if erased. */
-  view_type operator[]( gate_handle handle ) const
-  {
-    return Policy::view_at( cols_, checked_slot( handle ) );
-  }
-
   /* ---- construction ---- */
 
-  gate_handle append( const gate_type& gate )
+  void append( const gate_type& gate )
   {
     cols_.push_back( gate );
-    return register_new_row();
+    dead_.push_back( 0u );
   }
 
   /*! \brief In-place row construction from policy-specific parts,
    *         skipping `gate_type` materialization on builder hot paths.
    */
   template<typename... Args>
-  gate_handle emplace( Args&&... args )
+  void emplace( Args&&... args )
   {
     cols_.emplace_row( std::forward<Args>( args )... );
-    return register_new_row();
+    dead_.push_back( 0u );
   }
 
-  /*! \brief O(n) front insertion (rare; bidirectional synthesis). */
-  gate_handle prepend( const gate_type& gate )
+  /*! \brief O(n) front insertion (rare; bidirectional synthesis); every
+   *         existing gate moves up one slot.
+   */
+  void prepend( const gate_type& gate )
   {
     cols_.prepend( gate );
     dead_.insert( dead_.begin(), 0u );
-    const uint32_t id = static_cast<uint32_t>( slot_of_.size() );
-    id_of_.insert( id_of_.begin(), id );
-    slot_of_.push_back( 0u );
-    reindex_slots();
-    return { id };
   }
 
   /*! \brief Appends every alive gate of `other` without materializing.
@@ -178,18 +183,17 @@ public:
       if ( other.dead_[slot] == 0u )
       {
         cols_.copy_row_from( other.cols_, slot );
-        register_new_row();
+        dead_.push_back( 0u );
       }
     }
   }
 
-  /*! \brief Heap bytes held: the policy columns plus the handle and
-   *         tombstone bookkeeping, by capacity.
+  /*! \brief Heap bytes held: the policy columns plus the tombstone
+   *         flags, by capacity.
    */
   size_t heap_bytes() const noexcept
   {
-    return cols_.heap_bytes() + dead_.capacity() * sizeof( uint8_t ) +
-           ( id_of_.capacity() + slot_of_.capacity() ) * sizeof( uint32_t );
+    return cols_.heap_bytes() + dead_.capacity() * sizeof( uint8_t );
   }
 
   /*! \brief Reserves room for `n` rows in every per-row vector. */
@@ -197,8 +201,6 @@ public:
   {
     cols_.reserve( n );
     dead_.reserve( n );
-    id_of_.reserve( n );
-    slot_of_.reserve( n );
   }
 
   /* ---- views ---- */
@@ -215,7 +217,6 @@ public:
     const_iterator() = default;
 
     view_type operator*() const { return Policy::view_at( c_->cols_, slot_ ); }
-    gate_handle handle() const { return c_->handle_at_slot( slot_ ); }
     uint32_t slot() const noexcept { return slot_; }
 
     const_iterator& operator++()
@@ -323,56 +324,31 @@ public:
     bool slot_alive( uint32_t slot ) const noexcept { return c_->slot_alive( slot ); }
 
     /*! \brief O(1) tombstone erasure; the slot keeps its index.
-     *         Idempotent, both by slot and by handle.
+     *         Idempotent.
      */
     void erase_slot( uint32_t slot ) { c_->erase_slot_impl( slot ); }
-    void erase( gate_handle handle )
-    {
-      const uint32_t slot = c_->slot_of_[handle.id];
-      if ( slot != npos )
-      {
-        erase_slot( slot );
-      }
-    }
 
-    /*! \brief In-place overwrite; the gate keeps slot and handle.
-     *         Throws std::out_of_range for an erased handle.
-     */
+    /*! \brief In-place overwrite; the gate keeps its slot. */
     void replace_slot( uint32_t slot, const gate_type& gate ) { c_->cols_.set_row( slot, gate ); }
-    void replace( gate_handle handle, const gate_type& gate )
-    {
-      replace_slot( c_->checked_slot( handle ), gate );
-    }
 
     /*! \brief Queues `gate` before/after `slot`; visible after commit().
-     *         Handle forms throw std::out_of_range for an erased handle.
+     *         Inserts at one anchor keep their queueing order.
      */
-    gate_handle insert_before_slot( uint32_t slot, const gate_type& gate )
+    void insert_before_slot( uint32_t slot, const gate_type& gate ) { queue( slot * 2u, gate ); }
+    void insert_before_slot( uint32_t slot, gate_type&& gate )
     {
-      return queue( slot * 2u, gate );
+      queue( slot * 2u, std::move( gate ) );
     }
-    gate_handle insert_before_slot( uint32_t slot, gate_type&& gate )
+    void insert_after_slot( uint32_t slot, const gate_type& gate )
     {
-      return queue( slot * 2u, std::move( gate ) );
-    }
-    gate_handle insert_after_slot( uint32_t slot, const gate_type& gate )
-    {
-      return queue( slot * 2u + 1u, gate );
-    }
-    gate_handle insert_before( gate_handle handle, const gate_type& gate )
-    {
-      return insert_before_slot( c_->checked_slot( handle ), gate );
-    }
-    gate_handle insert_after( gate_handle handle, const gate_type& gate )
-    {
-      return insert_after_slot( c_->checked_slot( handle ), gate );
+      queue( slot * 2u + 1u, gate );
     }
 
     /*! \brief Queues `gate` at the end of the circuit. */
-    gate_handle append( const gate_type& gate ) { return queue( npos, gate ); }
+    void append( const gate_type& gate ) { queue( npos, gate ); }
 
     /*! \brief Applies queued inserts and compacts tombstones.  Slot
-     *         indices and iterators are invalidated; handles survive.
+     *         indices and iterators are invalidated.
      */
     void commit() { c_->commit_rewrites( pending_ ); }
 
@@ -381,12 +357,9 @@ public:
     explicit rewriter( circuit* c ) : c_( c ) {}
 
     template<typename Gate>
-    gate_handle queue( uint32_t key, Gate&& gate )
+    void queue( uint32_t key, Gate&& gate )
     {
-      const uint32_t id = static_cast<uint32_t>( c_->slot_of_.size() );
-      c_->slot_of_.push_back( npos );
-      pending_.push_back( { key, id, std::forward<Gate>( gate ) } );
-      return { id };
+      pending_.push_back( { key, std::forward<Gate>( gate ) } );
     }
 
     circuit* c_;
@@ -395,7 +368,7 @@ public:
 
   rewriter rewrite() { return rewriter( this ); }
 
-  /*! \brief Removes tombstoned rows; handles are remapped, slots shift. */
+  /*! \brief Removes tombstoned rows; later slots shift down. */
   void compact()
   {
     if ( num_dead_ == 0u )
@@ -410,28 +383,8 @@ private:
   struct pending_insert
   {
     uint32_t key; /*!< 2*slot = before slot, 2*slot+1 = after slot, npos = end */
-    uint32_t id;  /*!< handle id reserved at queue time */
     gate_type gate;
   };
-
-  uint32_t checked_slot( gate_handle handle ) const
-  {
-    if ( handle.id >= slot_of_.size() || slot_of_[handle.id] == npos )
-    {
-      throw std::out_of_range( "ir::circuit: handle names an erased or unknown gate" );
-    }
-    return slot_of_[handle.id];
-  }
-
-  gate_handle register_new_row()
-  {
-    const uint32_t slot = static_cast<uint32_t>( dead_.size() );
-    const uint32_t id = static_cast<uint32_t>( slot_of_.size() );
-    slot_of_.push_back( slot );
-    id_of_.push_back( id );
-    dead_.push_back( 0u );
-    return { id };
-  }
 
   uint32_t next_alive( uint32_t slot ) const noexcept
   {
@@ -451,73 +404,71 @@ private:
     }
     dead_[slot] = 1u;
     ++num_dead_;
-    slot_of_[id_of_[slot]] = npos;
   }
 
-  void reindex_slots()
-  {
-    for ( uint32_t slot = 0u; slot < num_slots(); ++slot )
-    {
-      if ( dead_[slot] == 0u )
-      {
-        slot_of_[id_of_[slot]] = slot;
-      }
-    }
-  }
-
+  /*! Compacts tombstones and splices queued inserts column by column.
+   *  An erase-only batch slides the survivors down in place.  Otherwise
+   *  the inserts are appended as rows and one gather in final order
+   *  builds fresh columns.  Survivors keep their order, and the policy
+   *  leaves its shared pools dense.
+   */
   void commit_rewrites( std::vector<pending_insert>& pending )
   {
     if ( pending.empty() && num_dead_ == 0u )
     {
       return;
     }
-    /* stable by key keeps the queueing order of same-anchor inserts */
-    std::stable_sort( pending.begin(), pending.end(),
-                      []( const pending_insert& a, const pending_insert& b ) {
-                        return a.key < b.key;
-                      } );
-
-    columns_type fresh;
-    fresh.reserve( num_gates() + pending.size() );
-    std::vector<uint32_t> fresh_ids;
-    fresh_ids.reserve( num_gates() + pending.size() );
-
-    size_t next = 0u;
-    const auto emit_pending_up_to = [&]( uint32_t key ) {
-      while ( next < pending.size() && pending[next].key <= key )
-      {
-        fresh.push_back( pending[next].gate );
-        slot_of_[pending[next].id] = static_cast<uint32_t>( fresh_ids.size() );
-        fresh_ids.push_back( pending[next].id );
-        ++next;
-      }
-    };
-
-    for ( uint32_t slot = 0u; slot < num_slots(); ++slot )
+    const uint32_t slots = num_slots();
+    std::vector<uint32_t> rows;
+    rows.reserve( num_gates() + pending.size() );
+    if ( pending.empty() )
     {
-      emit_pending_up_to( slot * 2u );
-      if ( dead_[slot] == 0u )
+      for ( uint32_t slot = 0u; slot < slots; ++slot )
       {
-        const uint32_t id = id_of_[slot];
-        slot_of_[id] = static_cast<uint32_t>( fresh_ids.size() );
-        fresh.copy_row_from( cols_, slot );
-        fresh_ids.push_back( id );
+        if ( dead_[slot] == 0u )
+        {
+          rows.push_back( slot );
+        }
       }
+      cols_.gather( rows, true );
     }
-    emit_pending_up_to( npos );
-
-    cols_ = std::move( fresh );
-    id_of_ = std::move( fresh_ids );
-    dead_.assign( id_of_.size(), 0u );
+    else
+    {
+      /* stable by key keeps the queueing order of same-anchor inserts */
+      std::stable_sort( pending.begin(), pending.end(),
+                        []( const pending_insert& a, const pending_insert& b ) {
+                          return a.key < b.key;
+                        } );
+      for ( const auto& insert : pending )
+      {
+        cols_.push_back( insert.gate ); /* row slots + i is pending[i] */
+      }
+      uint32_t next = 0u;
+      const auto emit_pending_up_to = [&]( uint32_t key ) {
+        for ( ; next < pending.size() && pending[next].key <= key; ++next )
+        {
+          rows.push_back( slots + next );
+        }
+      };
+      for ( uint32_t slot = 0u; slot < slots; ++slot )
+      {
+        emit_pending_up_to( slot * 2u );
+        if ( dead_[slot] == 0u )
+        {
+          rows.push_back( slot );
+        }
+      }
+      emit_pending_up_to( npos );
+      cols_.gather( rows, false );
+    }
+    dead_.assign( rows.size(), 0u );
     num_dead_ = 0u;
     pending.clear();
   }
 
   uint32_t num_wires_;
   columns_type cols_;
-  std::vector<uint8_t> dead_;     /*!< tombstone flags per slot */
-  std::vector<uint32_t> id_of_;   /*!< slot -> handle id */
-  std::vector<uint32_t> slot_of_; /*!< handle id -> slot (npos = erased) */
+  std::vector<uint8_t> dead_; /*!< tombstone flags per slot */
   uint32_t num_dead_ = 0u;
 };
 

@@ -6,15 +6,16 @@
  *  deduplicated angle pool (per-row index, `npos` when the gate has no
  *  angle).  Rows are therefore fixed-size and cache-friendly, and the
  *  view type (`qgate_view`) spans the slab instead of copying it.
- *  Replacing a row may strand old slab entries; compaction (driven by
- *  the core on rewriter commit) rebuilds the slab densely.  Columns
- *  decoded from a snapshot (circuit/frozen_circuit.hpp) hold one pool
- *  entry per angle row and an empty lookup, so later interning may
- *  duplicate a pool value; row values are unaffected.
+ *  Replacing a row may strand old slab entries; compaction (`gather`,
+ *  driven by the core on rewriter commit) leaves the slab and the pool
+ *  dense, in row order.  Columns decoded from a snapshot
+ *  (circuit/frozen_circuit.hpp) hold one pool entry per angle row and
+ *  an empty lookup until their first compaction, so interning before it
+ *  may duplicate a pool value; row values are unaffected.
  */
 #pragma once
 
-#include "circuit/gate_handle.hpp"
+#include "circuit/circuit.hpp"
 #include "quantum/qgate.hpp"
 
 #include <algorithm>
@@ -67,7 +68,6 @@ struct cliffordt_policy
       op_offset.reserve( n );
       op_count.reserve( n );
       angle_index.reserve( n );
-      operands.reserve( n );
     }
 
     void push_back( const qgate& gate )
@@ -131,7 +131,45 @@ struct cliffordt_policy
       append_operands( src.controls_of( slot ) );
       angle_index.push_back( src.angle_index[slot] == npos
                                  ? npos
-                                 : intern_angle( src.angles[src.angle_index[slot]] ) );
+                                 : intern_angle( angles, src.angles[src.angle_index[slot]] ) );
+    }
+
+    /*! \brief Keeps rows `rows`, in that order (see `gather_column`).
+     *  The slab and the pool are rebuilt dense in the new row order, so
+     *  stranded controls and unused angles go.
+     */
+    void gather( std::span<const uint32_t> rows, bool in_place )
+    {
+      std::vector<uint32_t> offsets( rows.size() );
+      uint32_t slab_size = 0u;
+      for ( size_t i = 0u; i < rows.size(); ++i )
+      {
+        offsets[i] = slab_size;
+        slab_size += op_count[rows[i]];
+      }
+      std::vector<uint32_t> slab( slab_size );
+      for ( size_t i = 0u; i < rows.size(); ++i )
+      {
+        const auto from = controls_of( rows[i] );
+        std::copy( from.begin(), from.end(), slab.begin() + offsets[i] );
+      }
+      operands = std::move( slab );
+      op_offset = std::move( offsets );
+      gather_column( kind, rows, in_place );
+      gather_column( target, rows, in_place );
+      gather_column( target2, rows, in_place );
+      gather_column( op_count, rows, in_place );
+      gather_column( angle_index, rows, in_place );
+      if ( !angles.empty() )
+      {
+        std::vector<double> pool;
+        angle_lookup_.clear();
+        for ( uint32_t& index : angle_index )
+        {
+          index = index == npos ? npos : intern_angle( pool, angles[index] );
+        }
+        angles = std::move( pool );
+      }
     }
 
     std::span<const uint32_t> controls_of( uint32_t slot ) const
@@ -184,18 +222,20 @@ struct cliffordt_policy
       const bool has_angle = angle_ != 0.0 || kind_ == gate_kind::rx ||
                              kind_ == gate_kind::ry || kind_ == gate_kind::rz ||
                              kind_ == gate_kind::global_phase;
-      return has_angle ? intern_angle( angle_ ) : npos;
+      return has_angle ? intern_angle( angles, angle_ ) : npos;
     }
 
-    uint32_t intern_angle( double angle_ )
+    /*! Pool index of `angle_` in `pool`, appending it on first sight;
+     *  `angle_lookup_` must describe `pool`. */
+    uint32_t intern_angle( std::vector<double>& pool, double angle_ )
     {
       uint64_t bits;
       std::memcpy( &bits, &angle_, sizeof( bits ) );
       const auto [it, inserted] =
-          angle_lookup_.try_emplace( bits, static_cast<uint32_t>( angles.size() ) );
+          angle_lookup_.try_emplace( bits, static_cast<uint32_t>( pool.size() ) );
       if ( inserted )
       {
-        angles.push_back( angle_ );
+        pool.push_back( angle_ );
       }
       return it->second;
     }

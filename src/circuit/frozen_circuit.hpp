@@ -1,13 +1,13 @@
 /*! \file frozen_circuit.hpp
  *  \brief Immutable, byte-packed snapshots of circuits.
  *
- *  A live `ir::circuit` carries what in-place passes need: stable
- *  handles, tombstones and per-row columns -- for the Clifford+T policy
- *  also an operand slab and an angle pool with a hash lookup, about 35
- *  bytes per gate.  A cache that only ever hands a circuit back needs
- *  none of it.  `frozen_circuit<Policy>` keeps the alive rows in one
- *  allocation and `thaw`s them into a compacted circuit with identity
- *  handles whose rows equal the frozen circuit's alive rows.
+ *  A live `ir::circuit` carries what in-place passes need: tombstones
+ *  and per-row columns -- for the Clifford+T policy also an operand
+ *  slab and an angle pool with a hash lookup, about 25 bytes per
+ *  gate.  A cache that only ever hands a circuit back needs none of it.
+ *  `frozen_circuit<Policy>` keeps the alive rows in one allocation and
+ *  `thaw`s them into a compacted circuit whose rows equal the frozen
+ *  circuit's alive rows.
  *
  *  Clifford+T rows (`frozen_circuit<cliffordt_policy>`) are a header
  *  byte -- gate kind in bits 0-4; bits 5-6 say no control, one
@@ -24,8 +24,7 @@
  *  snapshot from the largest one: one byte for circuits of up to 256
  *  wires, two up to 65536, else four.  A rotation-free Clifford+T
  *  circuit costs 2 bytes per single-qubit gate and 3 per CNOT.  There
- *  are no handles, no tombstones and no angle hash map; angles thaw bit
- *  for bit.
+ *  are no tombstones and no angle hash map; angles thaw bit for bit.
  *
  *  MCT rows (`frozen_circuit<mct_policy>`) are fixed-size: the target,
  *  then the control and polarity masks, each cut to the bytes the
@@ -95,7 +94,7 @@ public:
     return out;
   }
 
-  /*! \brief Decodes into a compacted circuit with identity handles. */
+  /*! \brief Decodes into a compacted circuit. */
   circuit_type thaw() const
   {
     cliffordt_policy::columns cols;
@@ -391,7 +390,7 @@ public:
     return out;
   }
 
-  /*! \brief Decodes into a compacted circuit with identity handles. */
+  /*! \brief Decodes into a compacted circuit. */
   circuit_type thaw() const
   {
     mct_policy::columns cols;

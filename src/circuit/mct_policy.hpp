@@ -8,7 +8,7 @@
  */
 #pragma once
 
-#include "circuit/gate_handle.hpp"
+#include "circuit/circuit.hpp"
 #include "reversible/rev_gate.hpp"
 
 #include <cstdint>
@@ -72,6 +72,14 @@ struct mct_policy
     void copy_row_from( const columns& src, uint32_t slot )
     {
       emplace_row( src.controls[slot], src.polarity[slot], src.target[slot] );
+    }
+
+    /*! \brief Keeps rows `rows`, in that order (see `gather_column`). */
+    void gather( std::span<const uint32_t> rows, bool in_place )
+    {
+      gather_column( controls, rows, in_place );
+      gather_column( polarity, rows, in_place );
+      gather_column( target, rows, in_place );
     }
 
     rev_gate get( uint32_t slot ) const

@@ -186,6 +186,14 @@ struct staged_ir
     return std::nullopt;
   }
 
+  /*! \brief Gates held, over every circuit of the stage artifacts. */
+  uint64_t num_gates() const noexcept
+  {
+    return ( reversible ? reversible->num_gates() : 0u ) +
+           ( quantum ? quantum->circuit.num_gates() : 0u ) +
+           ( mapped ? mapped->circuit.num_gates() : 0u );
+  }
+
   /*! \brief Heap bytes held by the stage artifacts, by capacity. */
   size_t heap_bytes() const noexcept
   {
@@ -220,7 +228,7 @@ struct staged_ir
  *  Clifford+T one (quantum and mapped) -- is frozen into one byte-packed
  *  allocation (circuit/frozen_circuit.hpp): about 2.4 bytes per
  *  Clifford+T gate and 3 per MCT gate up to 8 lines, instead of the
- *  live IR's ~30-40.  `thaw` rebuilds a `staged_ir` whose circuits
+ *  live IR's ~25.  `thaw` rebuilds a `staged_ir` whose circuits
  *  equal the frozen ones gate for gate, so a run resumed from a
  *  snapshot compiles exactly as one resumed from a copy.
  */

@@ -60,15 +60,15 @@ void qcircuit::check_operands( const qgate_view& gate ) const
   }
 }
 
-ir::gate_handle qcircuit::add_gate( const qgate& gate )
+void qcircuit::add_gate( const qgate& gate )
 {
-  return add_gate( qgate_view( gate ) );
+  add_gate( qgate_view( gate ) );
 }
 
-ir::gate_handle qcircuit::add_gate( const qgate_view& gate )
+void qcircuit::add_gate( const qgate_view& gate )
 {
   check_operands( gate );
-  return core_.emplace( gate.kind, gate.controls, gate.target, gate.target2, gate.angle );
+  core_.emplace( gate.kind, gate.controls, gate.target, gate.target2, gate.angle );
 }
 
 void qcircuit::cx( uint32_t control, uint32_t target )

@@ -47,9 +47,9 @@ public:
   gates_view gates() const noexcept { return core_.gates(); }
   qgate_view gate( size_t index ) const;
 
-  ir::gate_handle add_gate( const qgate& gate );
+  void add_gate( const qgate& gate );
   /*! \brief Appends straight from a view (no control-vector copy). */
-  ir::gate_handle add_gate( const qgate_view& gate );
+  void add_gate( const qgate_view& gate );
 
   /* single-qubit builders */
   void h( uint32_t qubit ) { add_simple( gate_kind::h, qubit ); }
@@ -110,7 +110,7 @@ public:
 
   /* ---- unified-IR access (passes and tools) ---- */
 
-  /*! \brief The shared gate-graph core (SoA columns, handles, slots). */
+  /*! \brief The shared gate-graph core (SoA columns, tombstones, slots). */
   const core_type& core() const noexcept { return core_; }
   core_type& core() noexcept { return core_; }
 

@@ -19,8 +19,9 @@
 namespace qda
 {
 
-/*! \brief Gate kinds of the quantum IR. */
-enum class gate_kind
+/*! \brief Gate kinds of the quantum IR (one byte: the IR stores a kind
+ *         column per row). */
+enum class gate_kind : uint8_t
 {
   h,            /*!< Hadamard */
   x,            /*!< Pauli-X */

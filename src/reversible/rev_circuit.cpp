@@ -43,10 +43,10 @@ rev_gate rev_circuit::gate( size_t index ) const
   return core_.gate_at( index );
 }
 
-ir::gate_handle rev_circuit::add_gate( const rev_gate& gate )
+void rev_circuit::add_gate( const rev_gate& gate )
 {
   check_gate_lines( gate, num_lines() );
-  return core_.emplace( gate.controls, gate.polarity, gate.target );
+  core_.emplace( gate.controls, gate.polarity, gate.target );
 }
 
 void rev_circuit::append( const rev_circuit& other )
@@ -58,10 +58,10 @@ void rev_circuit::append( const rev_circuit& other )
   core_.append_from( other.core_ );
 }
 
-ir::gate_handle rev_circuit::prepend_gate( const rev_gate& gate )
+void rev_circuit::prepend_gate( const rev_gate& gate )
 {
   check_gate_lines( gate, num_lines() );
-  return core_.prepend( gate );
+  core_.prepend( gate );
 }
 
 rev_circuit rev_circuit::inverse() const

@@ -50,23 +50,23 @@ public:
   rev_gate gate( size_t index ) const;
 
   /*! \brief Appends a gate (validates line indices). */
-  ir::gate_handle add_gate( const rev_gate& gate );
+  void add_gate( const rev_gate& gate );
 
-  ir::gate_handle add_not( uint32_t target ) { return add_gate( rev_gate::not_gate( target ) ); }
-  ir::gate_handle add_cnot( uint32_t control, uint32_t target )
+  void add_not( uint32_t target ) { add_gate( rev_gate::not_gate( target ) ); }
+  void add_cnot( uint32_t control, uint32_t target )
   {
-    return add_gate( rev_gate::cnot( control, target ) );
+    add_gate( rev_gate::cnot( control, target ) );
   }
-  ir::gate_handle add_toffoli( uint32_t control0, uint32_t control1, uint32_t target )
+  void add_toffoli( uint32_t control0, uint32_t control1, uint32_t target )
   {
-    return add_gate( rev_gate::toffoli( control0, control1, target ) );
+    add_gate( rev_gate::toffoli( control0, control1, target ) );
   }
 
   /*! \brief Appends all gates of `other` (line counts must agree). */
   void append( const rev_circuit& other );
 
   /*! \brief Prepends a gate (used by bidirectional synthesis). */
-  ir::gate_handle prepend_gate( const rev_gate& gate );
+  void prepend_gate( const rev_gate& gate );
 
   /*! \brief The inverse circuit: gates reversed (MCT gates are self-inverse). */
   rev_circuit inverse() const;
@@ -99,7 +99,7 @@ public:
 
   /* ---- unified-IR access (passes and tools) ---- */
 
-  /*! \brief The shared gate-graph core (SoA columns, handles, slots). */
+  /*! \brief The shared gate-graph core (SoA columns, tombstones, slots). */
   const core_type& core() const noexcept { return core_; }
   core_type& core() noexcept { return core_; }
 

@@ -324,6 +324,7 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
   plan.use_library = options_.enable_library;
   staged_ir initial;
   double resumed_saved_ms = 0.0;
+  report_chain resumed_chain; /* the reports of the resumed prefix */
   if ( use_prefixes )
   {
     const auto match = prefixes_.find_longest( job_ptr->prefix_keys );
@@ -331,7 +332,8 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
     {
       initial = match.entry->ir.thaw(); /* the frozen entry stays shared */
       plan.first_pass = match.passes;
-      plan.prefix_reports = match.entry->reports;
+      resumed_chain = match.entry->reports;
+      plan.prefix_reports = unroll_chain( resumed_chain );
       for ( const auto& report : plan.prefix_reports )
       {
         resumed_saved_ms += report.elapsed_ms;
@@ -345,8 +347,15 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
   pass_observer observer;
   if ( use_prefixes )
   {
-    observer = [this, &job_ptr, &spec]( size_t pass_index, const staged_ir& ir,
-                                        const std::vector<pass_report>& reports ) {
+    /* this job's snapshots share one report chain, rooted at the
+     * resumed prefix's */
+    observer = [this, &job_ptr, &spec, first_pass = plan.first_pass, chain = resumed_chain,
+                base = resumed_chain]( size_t pass_index, const staged_ir& ir,
+                                       const std::vector<pass_report>& reports ) mutable {
+      if ( pass_index == first_pass )
+      {
+        chain = base; /* every attempt reruns the passes after the prefix */
+      }
       const auto len = pass_index + 1u;
       if ( len >= spec.size() ) /* the full result lives in the result cache */
       {
@@ -360,7 +369,8 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
       try
       {
         QDA_FAILPOINT( "prefix.snapshot" );
-        prefixes_.store( key, prefix_entry{ frozen_ir( ir ), reports } );
+        chain = extend_chain( std::move( chain ), reports );
+        prefixes_.store( key, prefix_entry{ frozen_ir( ir ), chain } );
         QDA_COUNT( "server.prefix.snapshot" );
         set_gauge( "server.prefix.bytes", [this] { return prefixes_.statistics().bytes; } );
       }

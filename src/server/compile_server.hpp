@@ -16,12 +16,15 @@
  *      to one entry.  A result is admitted on its key's second
  *      compile (a key-only `library::sighting_profile` counts them;
  *      hits and coalesced waiters are not sightings) and shared with
- *      the cache, never copied, so one-shot traffic holds nothing;
+ *      the cache, never copied, so one-shot traffic holds nothing.
+ *      A held result is a live IR: its Clifford+T rows cost their
+ *      columns plus one tombstone byte, about 25 bytes per gate;
  *   3. cross-job pass-prefix reuse (server/prefix_cache.hpp): a job
  *      sharing a leading pass sequence with any prior job resumes
  *      mid-pipeline instead of recompiling from scratch.  Snapshots
  *      are admitted on first sighting as frozen, byte-packed
- *      `frozen_ir`s and thawed on resume;
+ *      `frozen_ir`s and thawed on resume; the snapshots of one job
+ *      share one chain of pass reports;
  *   4. request coalescing: identical jobs submitted while one is
  *      queued or in flight attach to it and are served by a single
  *      compilation (batching with the queue residency as the window).
@@ -82,7 +85,7 @@ struct server_options
   size_t cache_capacity = 1024u;
   size_t prefix_shards = 8u;
   /*! Snapshot entries; 0 disables.  A job leaves one frozen snapshot
-   *  per proper pipeline prefix (about five for an Eq. (5) spec, 2.7
+   *  per proper pipeline prefix (about five for an Eq. (5) spec, 2.6
    *  bytes per held gate at n = 7), so the default holds the working set of
    *  a few hundred programs served under prefix-sharing tails.  This is
    *  where a repeated pass input is reused first: the library admits a

@@ -13,8 +13,11 @@
  *  Snapshots are admitted on first sighting, so they must be cheap to
  *  hold: each is a `frozen_ir` (pipeline/ir.hpp) whose circuits are
  *  byte-packed into immutable allocations (2.4 bytes per Clifford+T gate),
- *  not a live `staged_ir` copy with handles, tombstones and per-row
- *  columns (about 35-40).  A resumed job thaws its snapshot and
+ *  not a live `staged_ir` copy with tombstones and per-row columns
+ *  (about 25).  The pass reports of a prefix are a shared, immutable
+ *  chain: snapshot k of a job links one report to snapshot k-1's chain
+ *  instead of copying all k.  A resumed job thaws its snapshot, unrolls
+ *  the chain into the report vector `pass_manager` replays, and
  *  compiles exactly as a cold job does.
  */
 #pragma once
@@ -22,20 +25,74 @@
 #include "pipeline/pass_manager.hpp"
 #include "server/sharded_lru.hpp"
 
+#include <memory>
 #include <vector>
 
 namespace qda::server
 {
 
+/*! \brief One link of a report chain: a pass's report after the chain
+ *         of the passes before it.  Links are immutable and shared by
+ *         every snapshot (and every resumed job) whose prefix they
+ *         start. */
+struct report_link
+{
+  pass_report report;
+  std::shared_ptr<const report_link> previous;
+  size_t depth = 1u; /*!< reports on the chain, this one included */
+};
+
+/*! \brief The reports of a pipeline prefix, newest last (null = none). */
+using report_chain = std::shared_ptr<const report_link>;
+
+inline size_t chain_depth( const report_chain& chain ) noexcept
+{
+  return chain ? chain->depth : 0u;
+}
+
+/*! \brief `chain` followed by `reports[chain_depth( chain ) ..]`. */
+inline report_chain extend_chain( report_chain chain, const std::vector<pass_report>& reports )
+{
+  for ( size_t i = chain_depth( chain ); i < reports.size(); ++i )
+  {
+    chain = std::make_shared<const report_link>(
+        report_link{ reports[i], std::move( chain ), i + 1u } );
+  }
+  return chain;
+}
+
+/*! \brief The reports of `chain`, oldest first. */
+inline std::vector<pass_report> unroll_chain( const report_chain& chain )
+{
+  std::vector<pass_report> reports( chain_depth( chain ) );
+  for ( const report_link* link = chain.get(); link != nullptr; link = link->previous.get() )
+  {
+    reports[link->depth - 1u] = link->report;
+  }
+  return reports;
+}
+
 /*! \brief One resumable snapshot: the IR after a pipeline prefix plus
- *         the reports of the passes that produced it. */
+ *         the chain of the reports of the passes that produced it. */
 struct prefix_entry
 {
   frozen_ir ir;
-  std::vector<pass_report> reports;
+  report_chain reports;
 
-  /*! \brief Heap bytes held: the snapshot plus the reports. */
-  size_t heap_bytes() const noexcept { return ir.heap_bytes() + qda::heap_bytes( reports ); }
+  /*! \brief Heap bytes held: the snapshot plus the chain's newest link.
+   *         Older links are shared, and each is counted by the
+   *         snapshot that added it. */
+  size_t heap_bytes() const noexcept
+  {
+    size_t bytes = ir.heap_bytes();
+    if ( reports )
+    {
+      const auto& report = reports->report;
+      bytes += sizeof( report_link ) + report.name.capacity() + report.arguments.capacity() +
+               report.degraded_reason.capacity();
+    }
+    return bytes;
+  }
 };
 
 /*! \brief What a prefix probe found. */

@@ -35,7 +35,8 @@ void sharded_compilation_cache::store( const structural_key& key,
 {
   QDA_FAILPOINT( "cache.store" );
   const auto bytes = result->heap_bytes();
-  const auto evicted = map_.insert( key, std::move( result ), bytes );
+  const auto gates = result->ir.num_gates();
+  const auto evicted = map_.insert( key, std::move( result ), bytes, gates );
   QDA_COUNT_N( "pipeline.cache.evict", evicted );
 }
 

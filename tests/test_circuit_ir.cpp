@@ -1,5 +1,5 @@
 /*! \file test_circuit_ir.cpp
- *  \brief The unified gate-graph IR: handles, tombstones, rewriter,
+ *  \brief The unified gate-graph IR: tombstones, rewriter,
  *         zero-copy views, the `circuit_cast` lowering hook and frozen
  *         (byte-packed) snapshots.
  */
@@ -31,50 +31,46 @@ namespace qda
 namespace
 {
 
-TEST( circuit_ir_test, handles_stay_stable_across_erase_and_compaction )
+TEST( circuit_ir_test, commit_compacts_survivors_in_order )
 {
   rev_circuit circuit( 3u );
-  const auto h0 = circuit.add_not( 0u );
-  const auto h1 = circuit.add_cnot( 0u, 1u );
-  const auto h2 = circuit.add_toffoli( 0u, 1u, 2u );
-  const auto h3 = circuit.add_not( 2u );
+  circuit.add_not( 0u );
+  circuit.add_cnot( 0u, 1u );
+  circuit.add_toffoli( 0u, 1u, 2u );
+  circuit.add_not( 2u );
 
   {
     auto rewriter = circuit.rewrite();
-    rewriter.erase( h1 );
+    rewriter.erase_slot( 1u );
   } /* destructor commits and compacts */
 
-  EXPECT_EQ( circuit.num_gates(), 3u );
+  ASSERT_EQ( circuit.num_gates(), 3u );
+  EXPECT_EQ( circuit.core().num_slots(), 3u );
   EXPECT_EQ( circuit.core().num_tombstones(), 0u );
-  EXPECT_TRUE( circuit.core().alive( h0 ) );
-  EXPECT_FALSE( circuit.core().alive( h1 ) );
-  EXPECT_TRUE( circuit.core().alive( h2 ) );
-  /* handles resolve to the same gates at their new slots */
-  EXPECT_EQ( circuit.core()[h0], rev_gate::not_gate( 0u ) );
-  EXPECT_EQ( circuit.core()[h2], rev_gate::toffoli( 0u, 1u, 2u ) );
-  EXPECT_EQ( circuit.core()[h3], rev_gate::not_gate( 2u ) );
-  EXPECT_EQ( circuit.core().slot_of( h3 ), 2u );
+  /* survivors slide down one slot each, in their old order */
+  EXPECT_EQ( circuit.core().view_at_slot( 0u ), rev_gate::not_gate( 0u ) );
+  EXPECT_EQ( circuit.core().view_at_slot( 1u ), rev_gate::toffoli( 0u, 1u, 2u ) );
+  EXPECT_EQ( circuit.core().view_at_slot( 2u ), rev_gate::not_gate( 2u ) );
 }
 
-TEST( circuit_ir_test, erased_handles_are_rejected_not_dereferenced )
+TEST( circuit_ir_test, erase_is_idempotent_and_keeps_the_slot_until_commit )
 {
   rev_circuit circuit( 2u );
   circuit.add_not( 0u );
-  const auto handle = circuit.add_cnot( 0u, 1u );
+  circuit.add_cnot( 0u, 1u );
   {
     auto rewriter = circuit.rewrite();
-    rewriter.erase( handle );
-    rewriter.erase( handle ); /* idempotent, not UB */
-    EXPECT_THROW( rewriter.replace( handle, rev_gate::not_gate( 1u ) ), std::out_of_range );
-    EXPECT_THROW( rewriter.insert_before( handle, rev_gate::not_gate( 1u ) ),
-                  std::out_of_range );
-    EXPECT_THROW( rewriter.insert_after( handle, rev_gate::not_gate( 1u ) ),
-                  std::out_of_range );
+    rewriter.erase_slot( 1u );
+    rewriter.erase_slot( 1u ); /* idempotent: one tombstone */
+    EXPECT_FALSE( rewriter.slot_alive( 1u ) );
+    EXPECT_EQ( circuit.core().num_tombstones(), 1u );
+    EXPECT_EQ( circuit.core().num_slots(), 2u );
+    /* an insert anchored at the dead slot still lands in its place */
+    rewriter.insert_before_slot( 1u, rev_gate::not_gate( 1u ) );
   }
-  EXPECT_EQ( circuit.num_gates(), 1u );
-  EXPECT_FALSE( circuit.core().alive( handle ) );
-  EXPECT_EQ( circuit.core().slot_of( handle ), ir::npos );
-  EXPECT_THROW( circuit.core()[handle], std::out_of_range );
+  ASSERT_EQ( circuit.num_gates(), 2u );
+  EXPECT_EQ( circuit.gate( 0u ), rev_gate::not_gate( 0u ) );
+  EXPECT_EQ( circuit.gate( 1u ), rev_gate::not_gate( 1u ) );
 }
 
 TEST( circuit_ir_test, tombstone_erase_is_deferred_until_commit )
@@ -126,21 +122,82 @@ TEST( circuit_ir_test, rewriter_batches_inserts_in_document_order )
   EXPECT_EQ( circuit.gate( 4u ).kind, gate_kind::t );
 }
 
-TEST( circuit_ir_test, replace_keeps_slot_and_handle )
+TEST( circuit_ir_test, replace_overwrites_in_place_and_keeps_the_slot )
 {
-  rev_circuit circuit( 3u );
-  circuit.add_not( 0u );
-  const auto handle = circuit.add_cnot( 0u, 1u );
-  circuit.add_not( 2u );
+  qcircuit circuit( 4u );
+  circuit.mcx( { 0u, 1u, 2u }, 3u );
+  circuit.cx( 0u, 1u );
+  circuit.h( 2u );
+
+  qgate shrunk;
+  shrunk.kind = gate_kind::cz;
+  shrunk.controls = { 3u };
+  shrunk.target = 2u;
+  qgate grown;
+  grown.kind = gate_kind::mcz;
+  grown.controls = { 0u, 1u, 3u };
+  grown.target = 2u;
+  {
+    auto rewriter = circuit.rewrite();
+    rewriter.replace_slot( 0u, shrunk ); /* strands two slab entries */
+    rewriter.replace_slot( 1u, grown );  /* moves to the slab's end */
+    EXPECT_EQ( circuit.core().num_slots(), 3u );
+    EXPECT_EQ( circuit.core().num_tombstones(), 0u );
+    EXPECT_EQ( circuit.gate( 0u ).materialize(), shrunk );
+    EXPECT_EQ( circuit.gate( 1u ).materialize(), grown );
+    rewriter.erase_slot( 2u );
+  }
+  ASSERT_EQ( circuit.num_gates(), 2u );
+  EXPECT_EQ( circuit.gate( 0u ).materialize(), shrunk );
+  EXPECT_EQ( circuit.gate( 1u ).materialize(), grown );
+  /* the commit rebuilt the slab densely, in row order */
+  const auto& cols = circuit.core().columns();
+  EXPECT_EQ( cols.operands, ( std::vector<uint32_t>{ 3u, 0u, 1u, 3u } ) );
+  EXPECT_EQ( cols.op_offset, ( std::vector<uint32_t>{ 0u, 1u } ) );
+}
+
+TEST( circuit_ir_test, commit_leaves_the_slab_and_angle_pool_dense )
+{
+  qcircuit circuit( 3u );
+  circuit.rz( 0u, 0.5 );
+  circuit.cx( 0u, 1u );
+  circuit.rz( 1u, 0.25 );
+  circuit.ccx( 0u, 1u, 2u );
+  circuit.rz( 2u, 0.75 );
+  circuit.rz( 0u, 0.25 );
+
+  qgate inserted;
+  inserted.kind = gate_kind::rz;
+  inserted.target = 1u;
+  inserted.angle = 0.125;
+  {
+    auto rewriter = circuit.rewrite();
+    rewriter.erase_slot( 0u );
+    rewriter.erase_slot( 1u );
+    rewriter.erase_slot( 4u );
+    rewriter.insert_after_slot( 2u, inserted );
+  } /* a merge commit */
+  ASSERT_EQ( circuit.num_gates(), 4u );
+  const auto& merged = circuit.core().columns();
+  EXPECT_EQ( merged.operands, ( std::vector<uint32_t>{ 0u, 1u } ) );
+  EXPECT_EQ( merged.angles, ( std::vector<double>{ 0.25, 0.125 } ) );
+  EXPECT_EQ( circuit.gate( 1u ).angle, 0.125 );
+  EXPECT_EQ( circuit.gate( 3u ).angle, 0.25 );
 
   {
     auto rewriter = circuit.rewrite();
-    rewriter.replace( handle, rev_gate::toffoli( 0u, 2u, 1u ) );
-  }
-
-  EXPECT_EQ( circuit.num_gates(), 3u );
-  EXPECT_EQ( circuit.core().slot_of( handle ), 1u );
-  EXPECT_EQ( circuit.gate( 1u ), rev_gate::toffoli( 0u, 2u, 1u ) );
+    rewriter.erase_slot( 0u );
+    rewriter.erase_slot( 1u );
+  } /* an erase-only commit, in place */
+  ASSERT_EQ( circuit.num_gates(), 2u );
+  const auto& kept = circuit.core().columns();
+  EXPECT_EQ( kept.operands, ( std::vector<uint32_t>{ 0u, 1u } ) );
+  EXPECT_EQ( kept.op_offset, ( std::vector<uint32_t>{ 0u, 2u } ) );
+  EXPECT_EQ( kept.angles, ( std::vector<double>{ 0.25 } ) );
+  EXPECT_EQ( circuit.gate( 1u ).angle, 0.25 );
+  /* the rebuilt lookup still deduplicates */
+  circuit.rz( 1u, 0.25 );
+  EXPECT_EQ( circuit.core().columns().angles.size(), 1u );
 }
 
 TEST( circuit_ir_test, quantum_views_span_the_operand_slab )
@@ -312,14 +369,36 @@ TEST( circuit_ir_test, self_referencing_views_and_self_append_are_safe )
   EXPECT_EQ( rev_doubled.gate( 1u ), rev_gate::cnot( 0u, 1u ) );
 }
 
-TEST( circuit_ir_test, prepend_keeps_existing_handles_valid )
+TEST( circuit_ir_test, prepend_shifts_every_gate_up_one_slot )
 {
-  rev_circuit circuit( 2u );
-  const auto first = circuit.add_cnot( 0u, 1u );
-  circuit.prepend_gate( rev_gate::not_gate( 0u ) );
-  EXPECT_EQ( circuit.gate( 0u ), rev_gate::not_gate( 0u ) );
-  EXPECT_EQ( circuit.core().slot_of( first ), 1u );
-  EXPECT_EQ( circuit.core()[first], rev_gate::cnot( 0u, 1u ) );
+  qcircuit circuit( 3u );
+  circuit.cx( 0u, 1u );
+  circuit.h( 2u );
+  qgate first;
+  first.kind = gate_kind::mcx;
+  first.controls = { 1u, 2u };
+  first.target = 0u;
+  circuit.core().prepend( first );
+  ASSERT_EQ( circuit.core().num_slots(), 3u );
+  EXPECT_EQ( circuit.gate( 0u ).materialize(), first );
+  EXPECT_EQ( circuit.gate( 1u ).kind, gate_kind::cx );
+  EXPECT_EQ( circuit.gate( 1u ).controls[0], 0u );
+  EXPECT_EQ( circuit.gate( 2u ).kind, gate_kind::h );
+
+  /* the prepended row's controls sit at the slab's end; an erase-only
+   * commit still leaves the slab in row order */
+  {
+    auto rewriter = circuit.rewrite();
+    rewriter.erase_slot( 2u );
+  }
+  EXPECT_EQ( circuit.core().columns().operands, ( std::vector<uint32_t>{ 1u, 2u, 0u } ) );
+  EXPECT_EQ( circuit.gate( 1u ).controls[0], 0u );
+
+  rev_circuit rev( 2u );
+  rev.add_cnot( 0u, 1u );
+  rev.prepend_gate( rev_gate::not_gate( 0u ) );
+  EXPECT_EQ( rev.gate( 0u ), rev_gate::not_gate( 0u ) );
+  EXPECT_EQ( rev.gate( 1u ), rev_gate::cnot( 0u, 1u ) );
 }
 
 /* ---------------- frozen snapshots ---------------- */
@@ -423,7 +502,9 @@ void expect_round_trip( const qcircuit& circuit )
     ASSERT_EQ( angle_bits( thawed, slot ), angle_bits( circuit, it.slot() ) ) << "row " << slot;
     ASSERT_EQ( thawed.core().columns().angle_index[slot] == ir::npos,
                circuit.core().columns().angle_index[it.slot()] == ir::npos );
-    EXPECT_EQ( thawed.core().slot_of( thawed.core().handle_at_slot( slot ) ), slot );
+    EXPECT_TRUE( thawed.core().slot_alive( slot ) );
+    EXPECT_TRUE( ir::cliffordt_policy::rows_equal( thawed.core().columns(), slot,
+                                                   circuit.core().columns(), it.slot() ) );
   }
 }
 
@@ -548,6 +629,29 @@ TEST( frozen_circuit_test, lowered_clifford_t_costs_under_three_bytes_per_gate )
   EXPECT_LE( static_cast<double>( frozen.bytes() ) / static_cast<double>( frozen.num_gates() ),
              3.0 );
   EXPECT_TRUE( qcircuit( frozen.thaw() ) == lowered );
+}
+
+TEST( circuit_ir_test, committed_lowered_clifford_t_holds_at_most_32_bytes_per_gate )
+{
+  /* a live row is its columns plus one tombstone byte: kind, target,
+   * target2, slab offset and count, pool index, and the slab's share */
+  std::mt19937_64 rng( 11u );
+  rev_circuit mct( 8u );
+  for ( int i = 0; i < 200; ++i )
+  {
+    const auto target = static_cast<uint32_t>( rng() % 8u );
+    const auto controls = ( rng() & 0xFFu ) & ~( uint64_t{ 1 } << target );
+    mct.add_gate( rev_gate( controls, controls & rng(), target ) );
+  }
+  auto lowered = map_to_clifford_t( mct ).circuit;
+  const auto before = lowered.num_gates();
+  peephole_in_place( lowered );
+  ASSERT_GT( lowered.num_gates(), 1000u );
+  ASSERT_LT( lowered.num_gates(), before ); /* the commit erased rows */
+  EXPECT_EQ( lowered.core().num_tombstones(), 0u );
+  const double per_gate = static_cast<double>( lowered.core().heap_bytes() ) /
+                          static_cast<double>( lowered.num_gates() );
+  EXPECT_LE( per_gate, 32.0 );
 }
 
 TEST( frozen_circuit_test, mct_circuits_round_trip_with_tombstones )

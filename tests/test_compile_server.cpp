@@ -296,6 +296,48 @@ TEST_F( compile_server_telemetry_test, sibling_pipelines_resume_from_shared_pref
   EXPECT_NE( format_server_report( server.statistics() ).find( "KiB" ), std::string::npos );
 }
 
+TEST( compile_server_test, prefix_snapshots_share_one_report_chain )
+{
+  std::vector<pass_report> reports( 3u );
+  for ( size_t i = 0u; i < reports.size(); ++i )
+  {
+    reports[i].name = "pass" + std::to_string( i );
+    reports[i].gates_after = i;
+  }
+  /* extending links only the new reports; older links are shared */
+  const auto two = extend_chain( nullptr, { reports[0], reports[1] } );
+  const auto three = extend_chain( two, reports );
+  EXPECT_EQ( three->previous, two );
+  EXPECT_EQ( chain_depth( three ), 3u );
+  EXPECT_EQ( extend_chain( three, reports ), three );
+  const auto unrolled = unroll_chain( three );
+  ASSERT_EQ( unrolled.size(), 3u );
+  for ( size_t i = 0u; i < unrolled.size(); ++i )
+  {
+    EXPECT_EQ( unrolled[i].name, reports[i].name );
+    EXPECT_EQ( unrolled[i].gates_after, i );
+  }
+  EXPECT_TRUE( unroll_chain( nullptr ).empty() );
+
+  /* a resumed job replays exactly the reports of the run that
+   * snapshotted its prefix */
+  compile_server server( { .num_workers = 1u } );
+  const auto cold = server.submit( eq5 ).get();
+  const auto sibling = server.submit( "revgen --hwb 4; tbs; revsimp; rptm; peephole; ps" ).get();
+  ASSERT_EQ( sibling.reused_passes, 4u );
+  for ( size_t i = 0u; i < 4u; ++i )
+  {
+    const auto& replayed = sibling.result->reports[i];
+    const auto& original = cold.result->reports[i];
+    EXPECT_TRUE( replayed.reused );
+    EXPECT_EQ( replayed.name, original.name );
+    EXPECT_EQ( replayed.arguments, original.arguments );
+    EXPECT_EQ( replayed.elapsed_ms, original.elapsed_ms );
+    EXPECT_EQ( replayed.gates_before, original.gates_before );
+    EXPECT_EQ( replayed.gates_after, original.gates_after );
+  }
+}
+
 TEST( compile_server_test, default_prefix_cache_holds_a_serving_working_set )
 {
   /* 300 programs leave four snapshots each (revgen .. rptm); a sibling
