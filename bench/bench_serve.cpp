@@ -36,10 +36,17 @@
  *  scaling ratio is also emitted and is hardware-dependent (this gate
  *  keeps compiling on 1-core CI runners, where thread scaling is ~1x).
  *
+ *  The serial baseline, amortized_8w and degrade_8w run interleaved
+ *  seven times each, and each row keeps its fastest run: one amortized
+ *  run is a single wall of a few milliseconds, so the ratio of two
+ *  single runs follows host noise.
+ *
  *  Emits BENCH_serve.json and (outside QDA_BENCH_SMOKE) enforces the
  *  acceptance floors: >= 4x amortized speedup at 8 workers, a strictly
- *  higher hit rate for structural keying than for exact-text keying,
- *  and an empty result cache after one-shot traffic.
+ *  higher hit rate for structural keying than for exact-text keying, a
+ *  healthy degrade-policy run at >= 0.80x the strict throughput with
+ *  no degraded or failed job and the same number of compiles, and an
+ *  empty result cache after one-shot traffic.
  */
 #include "pipeline/pass_manager.hpp"
 #include "server/compile_server.hpp"
@@ -54,6 +61,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace
@@ -232,6 +240,21 @@ server_options amortized_options( uint32_t workers )
   return options;
 }
 
+/*! Runs behind each side of a wall-time floor.  One amortized run is a
+ *  single wall of a few milliseconds over a mostly-hit mix, so host
+ *  noise decides the ratio of two single runs; each side is instead
+ *  the fastest of this many runs, interleaved with the other sides. */
+constexpr int wall_repeats = 7;
+
+/*! Keeps the faster of `best` and `run` in `best`. */
+void keep_fastest( config_result& best, config_result run )
+{
+  if ( best.name.empty() || run.throughput > best.throughput )
+  {
+    best = std::move( run );
+  }
+}
+
 struct one_shot_result
 {
   size_t requests = 0u;
@@ -261,9 +284,7 @@ struct codec_timing
 
 codec_timing time_codec( const std::string& spec, int rounds )
 {
-  run_plan plan;
-  plan.use_library = false;
-  const auto program = pass_manager( false ).run( parse_pipeline( spec ), staged_ir{}, plan ).ir;
+  const auto program = pass_manager( false ).run( parse_pipeline( spec ) ).ir;
   const auto best_us = [rounds]( const auto& work ) {
     double best = 1e300;
     for ( int i = 0; i < rounds; ++i )
@@ -347,18 +368,41 @@ int main()
 
   /* ---- measured configurations ---- */
 
-  std::vector<config_result> rows;
-
+  /* the serial baseline, amortized_8w and degrade_8w are the sides of
+   * the two wall-time floors: each keeps its fastest of `wall_repeats`
+   * interleaved runs.  degrade_8w is the healthy workload through the
+   * fault-tolerant submit path: degrade policy armed but never
+   * triggered -- it measures the cancellation/rollback plumbing */
+  server_options serial_options;
+  serial_options.num_workers = 1u;
+  serial_options.enable_result_cache = false;
+  serial_options.enable_prefix_reuse = false;
+  serial_options.coalesce_identical = false;
+  server::job_options degrade_job;
+  degrade_job.policy = failure_policy::degrade;
+  config_result serial_best;
+  config_result amortized_8_best;
+  config_result degrade_8_best;
+  for ( int run = 0; run < ( smoke ? 1 : wall_repeats ); ++run )
   {
-    server_options serial;
-    serial.num_workers = 1u;
-    serial.enable_result_cache = false;
-    serial.enable_prefix_reuse = false;
-    serial.coalesce_identical = false;
-    rows.push_back( run_config( "serial_baseline", serial, unique, requests ) );
+    auto serial = run_config( "serial_baseline", serial_options, unique, requests );
+    auto strict = run_config( "amortized_8w", amortized_options( 8u ), unique, requests );
+    auto degrade =
+        run_config( "degrade_8w", amortized_options( 8u ), unique, requests, &degrade_job );
+    std::printf( "run %d: serial %.1f req/s; 8 workers strict %.1f req/s (%llu compiled), "
+                 "degrade %.1f req/s (%llu compiled)\n",
+                 run, serial.throughput, strict.throughput,
+                 static_cast<unsigned long long>( strict.stats.compiled ), degrade.throughput,
+                 static_cast<unsigned long long>( degrade.stats.compiled ) );
+    keep_fastest( serial_best, std::move( serial ) );
+    keep_fastest( amortized_8_best, std::move( strict ) );
+    keep_fastest( degrade_8_best, std::move( degrade ) );
   }
+
+  std::vector<config_result> rows;
+  rows.push_back( std::move( serial_best ) );
   rows.push_back( run_config( "amortized_1w", amortized_options( 1u ), unique, requests ) );
-  rows.push_back( run_config( "amortized_8w", amortized_options( 8u ), unique, requests ) );
+  rows.push_back( std::move( amortized_8_best ) );
   rows.push_back( run_config( "amortized_32w", amortized_options( 32u ), unique, requests ) );
   {
     auto exact = amortized_options( 8u );
@@ -366,15 +410,7 @@ int main()
     exact.enable_prefix_reuse = false; /* text keys have no pass structure */
     rows.push_back( run_config( "exact_text_8w", exact, unique, requests ) );
   }
-  {
-    /* healthy workload through the fault-tolerant submit path: degrade
-     * policy armed but never triggered -- measures the overhead of the
-     * cancellation/rollback plumbing itself */
-    server::job_options degrade;
-    degrade.policy = failure_policy::degrade;
-    rows.push_back(
-        run_config( "degrade_8w", amortized_options( 8u ), unique, requests, &degrade ) );
-  }
+  rows.push_back( std::move( degrade_8_best ) );
 
   std::printf( "\n%-16s %-8s %-10s %-11s %-10s %-9s %-9s %-9s %-8s\n", "config", "workers",
                "wall-ms", "compiles/s", "hit-rate", "compiled", "hits", "coalesced",
@@ -545,8 +581,9 @@ int main()
     }
     /* the fault plumbing should be invisible on a healthy workload; the
      * floor is generous because both sides are wall-clock measurements
-     * on shared CI hardware (the tracked ratio is gated more tightly by
-     * check_bench_regression.py against the committed baseline) */
+     * on shared CI hardware, even as best of `wall_repeats` (the
+     * tracked ratio is also gated by check_bench_regression.py against
+     * the committed baseline) */
     if ( degrade_healthy_ratio < 0.80 )
     {
       std::printf( "E11: FAIL degrade-policy healthy throughput %.2fx of strict (< 0.80x)\n",
@@ -560,6 +597,15 @@ int main()
                    static_cast<unsigned long long>( degrade_8.stats.failed ) );
       failed = true;
     }
+    /* deterministic work: the degrade policy must compile exactly what
+     * the strict policy compiles on a healthy mix */
+    if ( degrade_8.stats.compiled != amortized_8.stats.compiled )
+    {
+      std::printf( "E11: FAIL healthy degrade run compiled %llu jobs, strict %llu\n",
+                   static_cast<unsigned long long>( degrade_8.stats.compiled ),
+                   static_cast<unsigned long long>( amortized_8.stats.compiled ) );
+      failed = true;
+    }
     if ( one_shot.stats.result_cache.entries != 0u )
     {
       std::printf( "E11: FAIL one-shot traffic left %llu result entries (expected 0)\n",
@@ -571,7 +617,7 @@ int main()
       return 1;
     }
     std::printf( "floors: amortized speedup >= 4x, structural > exact-text hit rate, "
-                 "healthy degrade-path >= 0.80x strict throughput, "
+                 "healthy degrade-path >= 0.80x strict throughput with equal compiles, "
                  "no result entries after one-shot traffic\n" );
   }
   return 0;

@@ -52,11 +52,6 @@ ABSOLUTE_FLOORS = {
     # the fault-tolerance plumbing (cancel tokens, rollback snapshots,
     # degrade bookkeeping) must stay invisible on a healthy workload
     "serve.degrade_healthy_ratio": 0.80,
-    # the subcircuit library must splice the second sighting of the
-    # hwb-8 rptm+tpar segment >= 1.5x faster than the first, and a
-    # process restart over the on-disk store must keep a clear win
-    "library.second_sighting_speedup": 1.5,
-    "library.warm_restart_speedup": 1.1,
 }
 
 
@@ -141,16 +136,6 @@ def collect_metrics(directory):
         if "speedup" in micro:
             metrics["eq5.revsimp_microbench.speedup"] = micro["speedup"]
 
-    library = load(os.path.join(directory, "BENCH_library.json"))
-    if library is not None and not library.get("smoke", False):
-        summary = library.get("summary", {})
-        if "second_sighting_speedup" in summary:
-            metrics["library.second_sighting_speedup"] = \
-                summary["second_sighting_speedup"]
-        if "warm_restart_speedup" in summary:
-            metrics["library.warm_restart_speedup"] = \
-                summary["warm_restart_speedup"]
-
     serve = load(os.path.join(directory, "BENCH_serve.json"))
     if serve is not None and not serve.get("smoke", False):
         summary = serve.get("summary", {})
@@ -234,10 +219,6 @@ def main():
     for name, base_value in sorted(baseline.items()):
         if name.endswith("gates_per_s"):
             continue  # absolute metric: floor-gated only, hosts differ
-        if name.startswith("library."):
-            # floor-gated only: the warm segments are a few ms, so the
-            # measured speedup swings well over 20% on loaded runners
-            continue
         if name not in current:
             print(f"skip  {name}: not in current run (workload set differs)")
             continue

@@ -1,7 +1,7 @@
 #include "core/flow.hpp"
 
-#include "pipeline/timing.hpp"
 #include "simulator/unitary.hpp"
+#include "telemetry/clock.hpp"
 
 #include <stdexcept>
 
@@ -36,9 +36,9 @@ flow& flow::revgen( permutation target )
   report.gates_before = ir_.current_gate_count();
   report.statistics_before =
       reports_.empty() ? ir_.current_statistics() : reports_.back().statistics_after;
-  const auto start = detail::steady_clock::now();
+  const auto start = telemetry::steady_clock::now();
   ir_.set_permutation( std::move( target ) );
-  report.elapsed_ms = detail::elapsed_ms_since( start );
+  report.elapsed_ms = telemetry::elapsed_ms_since( start );
   report.stage_after = stage::permutation;
   reports_.push_back( std::move( report ) );
   return *this;

@@ -1,12 +1,9 @@
 #include "mapping/clifford_t.hpp"
 
 #include "kernel/bits.hpp"
-#include "library/subcircuit_library.hpp"
 #include "mapping/ancilla.hpp"
 
-#include <cstring>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace qda
@@ -24,25 +21,6 @@ mct_emit_options emit_options_of( const clifford_t_options& options )
 {
   return { options.use_relative_phase, options.keep_toffoli, options.strategy,
            options.weights };
-}
-
-/*! Entries mapped under different options must never alias: the tag
- *  spells every knob the emission depends on (weights as exact bits). */
-std::string rptm_library_tag( const clifford_t_options& options )
-{
-  std::string tag = "rptm|";
-  tag += options.use_relative_phase ? 'r' : '-';
-  tag += options.keep_toffoli ? 'k' : '-';
-  tag += mct_strategy_name( options.strategy );
-  tag += '|';
-  const double weights[4] = { options.weights.t, options.weights.cnot,
-                              options.weights.h, options.weights.depth };
-  char bytes[sizeof( weights )];
-  std::memcpy( bytes, weights, sizeof( weights ) );
-  tag.append( bytes, sizeof( weights ) );
-  tag += "|q";
-  tag += options.max_qubits ? std::to_string( *options.max_qubits ) : "-";
-  return tag;
 }
 
 void append_x( qcircuit& out, uint32_t line )
@@ -77,19 +55,6 @@ clifford_t_result map_to_clifford_t( const rev_circuit& source, const clifford_t
 {
   const uint32_t num_lines = source.num_lines();
 
-  phasepoly::splice_probe probe;
-  if ( options.library )
-  {
-    /* whole-input tier: a verified hit of this exact input replays
-     * the stored Clifford+T circuit and skips emission entirely */
-    qcircuit spliced( num_lines );
-    uint32_t num_helpers = 0u;
-    if ( options.library->splice_rev_mapping( source, rptm_library_tag( options ), probe,
-                                              spliced, num_helpers ) )
-    {
-      return { std::move( spliced ), num_helpers };
-    }
-  }
   ancilla_manager ancillas( num_lines, options.max_qubits );
   const auto emit_options = emit_options_of( options );
   qcircuit out( num_lines );
@@ -138,12 +103,7 @@ clifford_t_result map_to_clifford_t( const rev_circuit& source, const clifford_t
   {
     append_x( out, least_significant_bit( flipped ) );
   }
-  clifford_t_result result{ std::move( out ), ancillas.num_helpers() };
-  if ( options.library && probe.valid )
-  {
-    options.library->offer_rev_mapping( probe, result.circuit, result.num_helper_qubits );
-  }
-  return result;
+  return { std::move( out ), ancillas.num_helpers() };
 }
 
 clifford_t_result lower_multi_controlled_gates( const qcircuit& source,

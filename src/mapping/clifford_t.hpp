@@ -27,11 +27,6 @@
 
 #include <optional>
 
-namespace qda::library
-{
-class subcircuit_library;
-}
-
 namespace qda
 {
 
@@ -51,11 +46,6 @@ struct clifford_t_options
   /*! Total qubit budget (data lines + helpers), e.g. the device size.
    *  Unset = clean helpers may grow freely. */
   std::optional<uint32_t> max_qubits{};
-  /*! Cross-compilation subcircuit library: an rptm input mapped
-   *  before (the exact circuit, under the same options) splices the
-   *  stored Clifford+T circuit, skipping emission entirely.  Null
-   *  disables it. */
-  library::subcircuit_library* library = nullptr;
   /*! Cooperative cancellation, polled in the emission loops. */
   cancel_token cancel{};
 };

@@ -24,7 +24,6 @@
 #include "phasepoly/parity_table.hpp"
 #include "phasepoly/phase_polynomial.hpp"
 #include "phasepoly/resynthesis.hpp"
-#include "phasepoly/splice.hpp"
 #include "quantum/qcircuit.hpp"
 
 namespace qda::phasepoly
@@ -34,11 +33,6 @@ struct tpar_options
 {
   bool resynthesize = true; /*!< rebuild region CNOT skeletons after folding */
   resynthesis_options resynthesis;
-  /*! Cross-compilation subcircuit library: a tpar input optimized
-   *  before (the exact circuit, under the same options) splices the
-   *  stored output, skipping folding and resynthesis.  Null disables
-   *  it. */
-  splice_provider* library = nullptr;
 };
 
 /*! \brief The T-count optimization stage: phase folding followed by

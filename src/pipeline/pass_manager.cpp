@@ -1,7 +1,6 @@
 #include "pipeline/pass_manager.hpp"
 
 #include "fault/failpoint.hpp"
-#include "library/subcircuit_library.hpp"
 #include "telemetry/clock.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -16,8 +15,8 @@ namespace qda
 namespace
 {
 
-using detail::elapsed_ms_since;
-using detail::steady_clock;
+using telemetry::elapsed_ms_since;
+using telemetry::steady_clock;
 
 } // namespace
 
@@ -217,15 +216,10 @@ compilation_result pass_manager::run( const pipeline_spec& spec, staged_ir initi
   }
   pass_context context;
   context.cancel = plan.cancel;
-  context.library = plan.use_library
-                        ? ( plan.library ? plan.library
-                                         : &library::subcircuit_library::instance() )
-                        : nullptr;
   /* deadline-blind view for mandatory passes under degrade: an expired
    * budget skips optimizations but must not abort synthesis/mapping */
   pass_context lenient_context;
   lenient_context.cancel = plan.cancel.without_deadline();
-  lenient_context.library = context.library;
   for ( size_t i = plan.first_pass; i < spec.size(); ++i )
   {
     const auto& invocation = spec.passes[i];

@@ -160,15 +160,6 @@ struct run_plan
   failure_policy policy = failure_policy::strict;
 
   resource_limits limits;
-
-  /*! Subcircuit library threaded into every pass context (rptm/tpar
-   *  splice cached optimized forms through it).  Null with
-   *  `use_library` true selects the process-wide
-   *  `library::subcircuit_library::instance()`. */
-  library::subcircuit_library* library = nullptr;
-
-  /*! When false, no library is offered to the passes at all. */
-  bool use_library = true;
 };
 
 /*! \brief Executes pipelines over the staged IR. */

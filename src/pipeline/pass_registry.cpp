@@ -1,6 +1,5 @@
 #include "pipeline/pass_registry.hpp"
 
-#include "library/subcircuit_library.hpp"
 #include "mapping/clifford_t.hpp"
 #include "mapping/coupling_map.hpp"
 #include "mapping/router.hpp"
@@ -396,17 +395,13 @@ void register_builtin_passes( pass_registry& registry )
       { stage::reversible },
       stage::quantum,
       { "strategy", "cost-target" },
-      { "no-relative-phase", "keep-toffoli", "no-library" },
+      { "no-relative-phase", "keep-toffoli" },
       {},
       []( staged_ir& ir, const pass_arguments& args, const pass_context& ctx ) {
         clifford_t_options options;
         options.use_relative_phase = !args.has_flag( "no-relative-phase" );
         options.keep_toffoli = args.has_flag( "keep-toffoli" );
         options.cancel = ctx.cancel;
-        if ( !args.has_flag( "no-library" ) )
-        {
-          options.library = ctx.library;
-        }
         if ( const auto name = args.option( "strategy" ) )
         {
           const auto strategy = parse_mct_strategy( *name );
@@ -438,17 +433,13 @@ void register_builtin_passes( pass_registry& registry )
       { stage::quantum },
       stage::quantum,
       {},
-      { "fold-only", "no-resynth", "no-library" },
+      { "fold-only", "no-resynth" },
       {},
       []( staged_ir& ir, const pass_arguments& args, const pass_context& ctx ) {
         phasepoly::tpar_options options;
         options.resynthesize =
             !args.has_flag( "fold-only" ) && !args.has_flag( "no-resynth" );
         options.resynthesis.cancel = ctx.cancel;
-        if ( !args.has_flag( "no-library" ) )
-        {
-          options.library = ctx.library;
-        }
         ir.require_quantum();
         auto result = std::move( *ir.quantum );
         phasepoly::tpar_in_place( result.circuit, options );

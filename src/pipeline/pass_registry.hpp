@@ -98,9 +98,8 @@ private:
 struct pass_context
 {
   cancel_token cancel;
-  /*! Cross-compilation subcircuit library; rptm and tpar splice cached
-   *  optimized forms through it.  Null (the default for direct
-   *  `apply_pass` callers) disables splicing entirely. */
+  /*! Read by no pass: kept only because the perfbench harness still
+   *  sets it (library/subcircuit_library.hpp). */
   library::subcircuit_library* library = nullptr;
   /*! Statistics of the circuit the pass starts from, when the pass
    *  manager already holds them (`apply_pass` sets it); null means a

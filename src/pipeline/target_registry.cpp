@@ -1,9 +1,9 @@
 #include "pipeline/target.hpp"
 
 #include "core/ibm_backend.hpp"
-#include "pipeline/timing.hpp"
 #include "simulator/stabilizer.hpp"
 #include "simulator/statevector.hpp"
+#include "telemetry/clock.hpp"
 
 #include <stdexcept>
 
@@ -13,8 +13,8 @@ namespace qda
 namespace
 {
 
-using detail::elapsed_ms_since;
-using detail::steady_clock;
+using telemetry::elapsed_ms_since;
+using telemetry::steady_clock;
 
 /* ---- state-vector backend ---- */
 

@@ -15,8 +15,8 @@ namespace qda::server
 namespace
 {
 
-using qda::detail::elapsed_ms_since;
-using qda::detail::steady_clock;
+using qda::telemetry::elapsed_ms_since;
+using qda::telemetry::steady_clock;
 
 /*! Capped exponential backoff: 1 ms base, doubling, 50 ms ceiling. */
 std::chrono::milliseconds retry_backoff( uint32_t attempt )
@@ -66,12 +66,6 @@ compile_server::compile_server( server_options options )
        * can admit a result without copying it */
       manager_( std::shared_ptr<compilation_cache>(), registry_ )
 {
-  if ( options_.enable_library && !options_.library_path.empty() )
-  {
-    /* warm start: entries admitted by earlier processes splice from
-     * the first sighting of this one */
-    library::subcircuit_library::instance().set_path( options_.library_path );
-  }
   auto workers = options_.num_workers;
   if ( workers == 0u )
   {
@@ -321,7 +315,6 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
   plan.cancel = token;
   plan.policy = job_ptr->opts.policy;
   plan.limits = job_ptr->opts.limits;
-  plan.use_library = options_.enable_library;
   staged_ir initial;
   double resumed_saved_ms = 0.0;
   report_chain resumed_chain; /* the reports of the resumed prefix */
@@ -473,7 +466,7 @@ void compile_server::execute( const std::shared_ptr<job>& job_ptr )
     const auto sighting = sightings_.observe( job_ptr->key.primary );
     if ( response.ok() && !response.degraded )
     {
-      if ( sighting < library::sighting_profile::admit_sighting )
+      if ( sighting < sighting_profile::admit_sighting )
       {
         QDA_COUNT( "server.cache.admit_deferred" );
       }
@@ -585,10 +578,6 @@ server_statistics compile_server::statistics() const
   stats.result_cache = cache_->statistics();
   stats.result_shards = cache_->per_shard_statistics();
   stats.prefix_cache = prefixes_.statistics();
-  if ( options_.enable_library )
-  {
-    stats.library = library::subcircuit_library::instance().statistics();
-  }
   return stats;
 }
 
@@ -642,7 +631,6 @@ std::string format_server_report( const server_statistics& stats )
                  static_cast<unsigned long long>( stats.prefix_cache.entries ),
                  static_cast<double>( stats.prefix_cache.bytes ) / 1024.0 );
   out << line;
-  out << "  " << library::format_library_report( stats.library ) << "\n";
   const auto waits = static_cast<double>( stats.compiled );
   std::snprintf( line, sizeof( line ),
                  "  queue: peak depth %llu, mean wait %.3f ms over %llu executed jobs\n",

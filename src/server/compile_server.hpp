@@ -14,7 +14,7 @@
  *      (server/sharded_cache.hpp) keyed on the canonical post-parse
  *      pipeline plus the input IR -- equivalent spec spellings dedup
  *      to one entry.  A result is admitted on its key's second
- *      compile (a key-only `library::sighting_profile` counts them;
+ *      compile (a key-only `sighting_profile` counts them;
  *      hits and coalesced waiters are not sightings) and shared with
  *      the cache, never copied, so one-shot traffic holds nothing.
  *      A held result is a live IR: its Clifford+T rows cost their
@@ -36,11 +36,10 @@
 
 #include "fault/cancel.hpp"
 #include "fault/error.hpp"
-#include "library/profile.hpp"
-#include "library/subcircuit_library.hpp"
 #include "pipeline/pass_manager.hpp"
 #include "server/prefix_cache.hpp"
 #include "server/sharded_cache.hpp"
+#include "server/sighting_profile.hpp"
 
 #include <array>
 #include <atomic>
@@ -87,9 +86,7 @@ struct server_options
   /*! Snapshot entries; 0 disables.  A job leaves one frozen snapshot
    *  per proper pipeline prefix (about five for an Eq. (5) spec, 2.6
    *  bytes per held gate at n = 7), so the default holds the working set of
-   *  a few hundred programs served under prefix-sharing tails.  This is
-   *  where a repeated pass input is reused first: the library admits a
-   *  whole rptm/tpar input only on its second sighting. */
+   *  a few hundred programs served under prefix-sharing tails. */
   size_t prefix_capacity = 2048u;
 
   bool enable_result_cache = true;
@@ -97,15 +94,6 @@ struct server_options
   bool coalesce_identical = true;
 
   key_mode keying = key_mode::structural;
-
-  /*! Thread the process-wide subcircuit library through every job's
-   *  pass context, so hot rptm/tpar shapes splice across jobs. */
-  bool enable_library = true;
-
-  /*! When nonempty, points the library singleton at this append-only
-   *  store at construction: entries admitted by earlier processes are
-   *  loaded for a warm start, new admissions are appended. */
-  std::string library_path;
 
   /*! Pass registry to resolve specs against; nullptr = the built-in
    *  process-wide registry. */
@@ -268,7 +256,6 @@ struct server_statistics
   cache_statistics result_cache;            /*!< aggregate backend counters */
   std::vector<shard_statistics> result_shards; /*!< per-shard hit/miss/evict */
   shard_statistics prefix_cache;            /*!< snapshot-store counters */
-  library::library_statistics library;      /*!< subcircuit-library counters */
 
   /*! Served-from-cache fraction of completed requests (hits + coalesced
    *  over completed; 0 when nothing completed). */
@@ -353,7 +340,7 @@ private:
   const pass_registry& registry_;
   std::shared_ptr<sharded_compilation_cache> cache_;
   /*! Compiles per result key; a result is admitted on its second. */
-  library::sighting_profile sightings_;
+  sighting_profile sightings_;
   prefix_cache prefixes_;
   pass_manager manager_;
 

@@ -3,8 +3,7 @@
  *
  *  Every subsystem that measures time -- the pass manager, the trace
  *  spans, the bench stopwatches -- goes through these helpers so the
- *  clock source is defined exactly once.  `pipeline/timing.hpp` is a
- *  forwarding header kept for source compatibility.
+ *  clock source is defined exactly once.
  */
 #pragma once
 
@@ -32,13 +31,3 @@ inline uint64_t elapsed_us_between( steady_clock::time_point start,
 }
 
 } // namespace qda::telemetry
-
-namespace qda::detail
-{
-
-/* legacy aliases: pre-telemetry code spells qda::detail::steady_clock /
- * elapsed_ms_since (via pipeline/timing.hpp) */
-using steady_clock = telemetry::steady_clock;
-using telemetry::elapsed_ms_since;
-
-} // namespace qda::detail

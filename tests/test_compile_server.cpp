@@ -1,8 +1,8 @@
 /*! \file test_compile_server.cpp
- *  \brief Compile server core: sharded LRU storage, job queue +
- *         admission control, structural-hash dedup, second-sighting
- *         result admission, coalescing, cross-job prefix reuse, and
- *         multi-threaded exactness.
+ *  \brief Compile server core: sharded LRU storage, the sighting
+ *         profile, job queue + admission control, structural-hash
+ *         dedup, second-sighting result admission, coalescing,
+ *         cross-job prefix reuse, and multi-threaded exactness.
  *
  *  The concurrency tests here are the ThreadSanitizer targets of the
  *  `sanitize (tsan)` CI job.
@@ -114,6 +114,64 @@ TEST( sharded_lru_test, mismatched_check_half_is_a_miss )
   EXPECT_EQ( map.find( structural_key{ 7u, 0u } ), nullptr );
   EXPECT_FALSE( map.contains( structural_key{ 7u, 0u } ) );
   EXPECT_TRUE( map.contains( key_of( 7u ) ) );
+}
+
+/* ---------------- result admission rule ---------------- */
+
+TEST( sighting_profile_test, counts_sightings_per_key )
+{
+  sighting_profile profile;
+  EXPECT_EQ( profile.observe( 1u ), 1u );
+  EXPECT_EQ( profile.observe( 2u ), 1u );
+  EXPECT_EQ( profile.observe( 1u ), 2u );
+  EXPECT_EQ( profile.observe( 1u ), 3u );
+  EXPECT_EQ( profile.observe( 2u ), 2u );
+}
+
+TEST( sighting_profile_test, admits_on_the_second_sighting )
+{
+  static_assert( sighting_profile::admit_sighting == 2u );
+  sighting_profile profile;
+  EXPECT_LT( profile.observe( 42u ), sighting_profile::admit_sighting );
+  EXPECT_EQ( profile.observe( 42u ), sighting_profile::admit_sighting );
+}
+
+TEST( sighting_profile_test, a_full_shard_resets_on_a_new_key )
+{
+  sighting_profile profile;
+  const uint64_t kept = 1u;
+  const size_t shard = sighting_profile::shard_index( kept );
+  uint64_t other = 2u; /* a key counted in another shard */
+  while ( sighting_profile::shard_index( other ) == shard )
+  {
+    ++other;
+  }
+  profile.observe( kept );
+  profile.observe( kept );
+  profile.observe( other );
+
+  /* fill the shard of `kept` to its bound with distinct keys */
+  uint64_t key = other;
+  for ( size_t held = 1u; held < sighting_profile::max_entries_per_shard; )
+  {
+    ++key;
+    if ( sighting_profile::shard_index( key ) == shard )
+    {
+      EXPECT_EQ( profile.observe( key ), 1u );
+      ++held;
+    }
+  }
+  /* a known key in a full shard still counts on */
+  EXPECT_EQ( profile.observe( kept ), 3u );
+
+  /* a new key in the full shard drops every count of that shard only */
+  do
+  {
+    ++key;
+  } while ( sighting_profile::shard_index( key ) != shard );
+  EXPECT_EQ( profile.observe( key ), 1u );
+  EXPECT_EQ( profile.observe( kept ), 1u );
+  EXPECT_EQ( profile.observe( other ), 2u );
 }
 
 /* ---------------- single-job serving ---------------- */

@@ -266,11 +266,8 @@ TEST( deadline_test, cancelled_token_stops_rptm_and_lowering_mid_pass )
   /* no timing involved: the token is cancelled before the call, so the
    * first strided poll inside the emission loop must throw */
   pass_manager manager( /*enable_cache=*/false );
-  run_plan front_end;
-  front_end.use_library = false;
   const auto reversible =
-      manager.run( parse_pipeline( "revgen --hwb 10; tbs; revsimp" ), staged_ir{}, front_end )
-          .ir.reversible;
+      manager.run( parse_pipeline( "revgen --hwb 10; tbs; revsimp" ) ).ir.reversible;
   ASSERT_TRUE( reversible.has_value() );
 
   cancel_source source;
@@ -310,18 +307,14 @@ TEST( deadline_test, deadline_interrupts_tpar_mid_pass )
    * (faulting in the heap) or one slowed by a busy host would place
    * the deadline after tpar, and with tpar itself only ~50 ms that
    * margin is thin.  An early deadline still aborts the run (at the
-   * next pass boundary).  The subcircuit library must stay out of every
-   * run: a library splice would skip the very tpar work the deadline
-   * is aimed at. */
+   * next pass boundary). */
   pass_manager manager( /*enable_cache=*/false );
   const auto spec = parse_pipeline( "revgen --hwb 10; tbs; revsimp; rptm; tpar; ps" );
-  run_plan reference_plan;
-  reference_plan.use_library = false;
   double before_tpar_ms = std::numeric_limits<double>::infinity();
   double tpar_ms = std::numeric_limits<double>::infinity();
   for ( int run = 0; run < 3; ++run )
   {
-    const auto reference = manager.run( spec, staged_ir{}, reference_plan );
+    const auto reference = manager.run( spec );
     double before_ms = 0.0;
     for ( const auto& report : reference.reports )
     {
@@ -340,7 +333,6 @@ TEST( deadline_test, deadline_interrupts_tpar_mid_pass )
   cancel_source source;
   run_plan plan;
   plan.cancel = source.token();
-  plan.use_library = false;
   source.set_deadline_after( std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double, std::milli>( before_tpar_ms + tpar_ms / 2.0 ) ) );
   try

@@ -7,9 +7,9 @@
 #include "core/ibm_backend.hpp"
 #include "mapping/clifford_t.hpp"
 #include "mapping/router.hpp"
-#include "optimization/linear_synthesis.hpp"
 #include "optimization/peephole.hpp"
 #include "optimization/phase_folding.hpp"
+#include "phasepoly/linear_synthesis.hpp"
 #include "quantum/qasm.hpp"
 #include "simulator/statevector.hpp"
 #include "simulator/unitary.hpp"

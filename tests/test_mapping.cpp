@@ -554,9 +554,7 @@ TEST( routing_pin_test, device_tail_matches_the_pinned_sequence )
   pass_manager manager( /*enable_cache=*/false );
   for ( const auto& pin : pins )
   {
-    run_plan plan;
-    plan.use_library = false;
-    const auto result = manager.run( parse_pipeline( pin.what ), staged_ir{}, plan );
+    const auto result = manager.run( parse_pipeline( pin.what ) );
     ASSERT_TRUE( result.ir.mapped.has_value() ) << pin.what;
     expect_pinned( *result.ir.mapped, pin );
   }

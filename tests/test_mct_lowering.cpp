@@ -473,9 +473,7 @@ TEST( mct_output_pin_test, rptm_of_hwb_matches_the_pinned_sequence )
   pass_manager manager( /*enable_cache=*/false );
   for ( const auto& pin : cases )
   {
-    run_plan plan;
-    plan.use_library = false;
-    const auto result = manager.run( parse_pipeline( pin.what ), staged_ir{}, plan );
+    const auto result = manager.run( parse_pipeline( pin.what ) );
     ASSERT_TRUE( result.ir.quantum.has_value() ) << pin.what;
     expect_pinned( *result.ir.quantum, pin );
   }

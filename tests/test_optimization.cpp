@@ -1,10 +1,10 @@
 #include "gate_sequence_hash.hpp"
 
 #include "mapping/clifford_t.hpp"
-#include "optimization/linear_synthesis.hpp"
 #include "optimization/peephole.hpp"
 #include "optimization/phase_folding.hpp"
 #include "optimization/revsimp.hpp"
+#include "phasepoly/linear_synthesis.hpp"
 #include "pipeline/pass_manager.hpp"
 #include "simulator/unitary.hpp"
 #include "synthesis/revgen.hpp"
@@ -379,13 +379,11 @@ TEST( peephole_test, max_rounds_zero_leaves_the_circuit_alone )
 /* output pins                                                      */
 /* ---------------------------------------------------------------- */
 
-/*! Runs `spec` cold: no result cache, no subcircuit library. */
+/*! Runs `spec` cold: no result cache. */
 staged_ir compile_cold( const std::string& spec )
 {
   pass_manager manager( /*enable_cache=*/false );
-  run_plan plan;
-  plan.use_library = false;
-  return manager.run( parse_pipeline( spec ), staged_ir{}, plan ).ir;
+  return manager.run( parse_pipeline( spec ) ).ir;
 }
 
 void expect_pinned( const qcircuit& circuit, const sequence_pin& pin )

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numbers>
 #include <random>
+#include <thread>
+#include <vector>
 
 namespace qda
 {
@@ -326,9 +329,7 @@ TEST( tpar_test, pins_hwb_counts_of_the_committed_ablation )
   pass_manager manager( /*enable_cache=*/false );
   for ( const auto& c : cases )
   {
-    run_plan plan;
-    plan.use_library = false;
-    const auto result = manager.run( parse_pipeline( c.spec ), staged_ir{}, plan );
+    const auto result = manager.run( parse_pipeline( c.spec ) );
     ASSERT_TRUE( result.ir.last_statistics.has_value() ) << c.spec;
     const auto& stats = *result.ir.last_statistics;
     EXPECT_EQ( stats.t_count, c.t ) << c.spec;
@@ -368,6 +369,58 @@ TEST( tpar_test, preserves_random_clifford_t_circuits )
     EXPECT_LE( t_fold, t_before );
     EXPECT_LE( t_full, t_fold ); /* resynthesis must never cost T gates */
   }
+}
+
+TEST( tpar_test, concurrent_calls_emit_what_serial_calls_emit )
+{
+  /* tpar keeps no state across calls: eight threads optimizing shared
+   * inputs must each get the serial output, gate for gate */
+  constexpr uint32_t num_shapes = 4u;
+  constexpr uint32_t num_threads = 8u;
+  constexpr uint32_t rounds = 4u;
+  std::mt19937_64 rng( 23u );
+  std::vector<qcircuit> shapes;
+  std::vector<qcircuit> references;
+  for ( uint32_t s = 0u; s < num_shapes; ++s )
+  {
+    qcircuit circuit( 4u );
+    for ( uint32_t g = 0u; g < 40u; ++g )
+    {
+      const uint32_t q = rng() % 4u;
+      switch ( rng() % 6u )
+      {
+      case 0u: circuit.t( q ); break;
+      case 1u: circuit.tdg( q ); break;
+      case 2u: circuit.s( q ); break;
+      case 3u: circuit.h( q ); break;
+      case 4u: circuit.x( q ); break;
+      default: circuit.cx( q, ( q + 1u ) % 4u ); break;
+      }
+    }
+    references.push_back( phasepoly::tpar( circuit ) );
+    shapes.push_back( std::move( circuit ) );
+  }
+
+  std::atomic<uint32_t> mismatches{ 0u };
+  std::vector<std::thread> workers;
+  for ( uint32_t thread_id = 0u; thread_id < num_threads; ++thread_id )
+  {
+    workers.emplace_back( [&, thread_id] {
+      for ( uint32_t round = 0u; round < rounds; ++round )
+      {
+        const uint32_t shape = ( thread_id + round ) % num_shapes;
+        if ( !( phasepoly::tpar( shapes[shape] ) == references[shape] ) )
+        {
+          mismatches.fetch_add( 1u );
+        }
+      }
+    } );
+  }
+  for ( auto& worker : workers )
+  {
+    worker.join();
+  }
+  EXPECT_EQ( mismatches.load(), 0u );
 }
 
 TEST( tpar_test, fuzz_crosses_the_64_label_boundary )

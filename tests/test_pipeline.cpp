@@ -107,6 +107,12 @@ TEST( spec_validation_test, malformed_arguments_are_rejected )
   /* repeated option */
   EXPECT_THROW( validate_pipeline( parse_pipeline( "revgen --hwb 4 --hwb 5; tbs" ) ),
                 std::invalid_argument );
+  /* flags of the retired subcircuit library */
+  EXPECT_THROW( validate_pipeline( parse_pipeline( "revgen --hwb 4; tbs; rptm --no-library" ) ),
+                std::invalid_argument );
+  EXPECT_THROW(
+      validate_pipeline( parse_pipeline( "revgen --hwb 4; tbs; rptm; tpar --no-library" ) ),
+      std::invalid_argument );
 }
 
 TEST( spec_validation_test, revgen_requires_exactly_one_generator )
@@ -595,12 +601,10 @@ TEST( frozen_ir_test, resumed_from_every_snapshot_equals_cold_gate_for_gate )
                                         std::to_string( 97u * n + t ) + "; " + snapshot_tails[t] );
       SCOPED_TRACE( spec.to_string() );
 
-      /* cold, library off: the reference; snapshots frozen at each
-       * proper prefix, as the compile server takes them */
+      /* cold: the reference; snapshots frozen at each proper prefix,
+       * as the compile server takes them */
       std::vector<std::pair<frozen_ir, std::vector<pass_report>>> snapshots;
-      run_plan cold_plan;
-      cold_plan.use_library = false;
-      const auto cold = manager.run( spec, staged_ir{}, cold_plan,
+      const auto cold = manager.run( spec, staged_ir{}, run_plan{},
                                      [&]( size_t pass_index, const staged_ir& ir,
                                           const std::vector<pass_report>& reports ) {
                                        if ( pass_index + 1u < spec.size() )
@@ -610,21 +614,16 @@ TEST( frozen_ir_test, resumed_from_every_snapshot_equals_cold_gate_for_gate )
                                      } );
       ASSERT_EQ( snapshots.size(), spec.size() - 1u );
 
-      for ( const bool use_library : { false, true } )
+      for ( size_t len = 1u; len < spec.size(); ++len )
       {
-        for ( size_t len = 1u; len < spec.size(); ++len )
-        {
-          SCOPED_TRACE( "library " + std::to_string( use_library ) + ", resumed after " +
-                        std::to_string( len ) + " passes" );
-          run_plan plan;
-          plan.first_pass = len;
-          plan.cache_key = compute_structural_key( spec, staged_ir{} );
-          plan.prefix_reports = snapshots[len - 1u].second;
-          plan.use_library = use_library;
-          const auto resumed = manager.run( spec, snapshots[len - 1u].first.thaw(), plan );
-          EXPECT_EQ( resumed.reused_passes, len );
-          expect_same_program( resumed.ir, cold.ir );
-        }
+        SCOPED_TRACE( "resumed after " + std::to_string( len ) + " passes" );
+        run_plan plan;
+        plan.first_pass = len;
+        plan.cache_key = compute_structural_key( spec, staged_ir{} );
+        plan.prefix_reports = snapshots[len - 1u].second;
+        const auto resumed = manager.run( spec, snapshots[len - 1u].first.thaw(), plan );
+        EXPECT_EQ( resumed.reused_passes, len );
+        expect_same_program( resumed.ir, cold.ir );
       }
     }
   }
